@@ -19,7 +19,7 @@ from .lang.eval import Outcome, Session, render, run_program
 from .lang.lexer import Span, tokenize
 from .lang.parser import parse
 from .morphism import LawReport, check_category_laws
-from .universe import BuildCaps, ClosureReport, Fragment, check_qED
+from .universe import SECTIONS, BuildCaps, ClosureReport, Fragment, check_qED
 
 __all__ = ["main", "build_arg_parser"]
 
@@ -204,7 +204,7 @@ def _run_eval(args) -> int:
 
 def _sound(report: ClosureReport) -> bool:
     # A theorem-1 defect is only acceptable when some primitive closure
-    # defect in conditions 1-3 explains it.
+    # defect in conditions 1-4 explains it.
     return not report.theorem1 or bool(report.primitive_defects)
 
 
@@ -213,13 +213,8 @@ def _report_lines(report: ClosureReport) -> list[str]:
     lines = [
         "members: %d distinct classes, qc %d" % (
             report.elements.distinct_classes(), report.elements.qcard),
-        "defects: cond1=%d cond2=%d cond3=%d cond4=%d theorem1=%d" % (
-            len(report.cond1), len(report.cond2), len(report.cond3),
-            len(report.cond4), len(report.theorem1)),
-        "checked: cond1=%d cond2=%d cond3=%d cond4=%d theorem1=%d" % (
-            totals.get("cond1_checked", 0), totals.get("cond2_checked", 0),
-            totals.get("cond3_checked", 0), totals.get("cond4_checked", 0),
-            totals.get("theorem1_checked", 0)),
+        "defects: " + " ".join("%s=%d" % (s, len(getattr(report, s))) for s in SECTIONS),
+        "checked: " + " ".join("%s=%d" % (s, totals.get(s + "_checked", 0)) for s in SECTIONS),
     ]
     if totals.get("cond4_truncated"):
         lines.append("cond4 sweep truncated")

@@ -188,7 +188,7 @@ class QSet:
         for kind, seen in labels.items():
             ms[kind] = ms.get(kind, 0) + len(seen)
 
-        self._ms = tuple(sorted(ms.items(), key=lambda kv: kv[0].ident))
+        self._ms = tuple(sorted(ms.items(), key=lambda kv: (kv[0].ident, kv[0].atom_token)))
         self._cs = tuple(sorted(cs))
         self._qs = tuple(sorted(qs.items(), key=lambda kv: (kv[0].text, kv[0]._skey)))
         self._ps = tuple(sorted(ps.items(), key=lambda kv: (canonical_text(kv[0]), desc_sort_key(kv[0]))))

@@ -2,8 +2,8 @@
 
 A Session owns the declaration registries (kinds, atom populations,
 classical atom ids, let-bindings) and the results of check statements.
-Declaring is the only mutation in the whole package and is serialized
-behind a lock; evaluation itself only reads.
+Declaring is the only mutation in the whole package; evaluation itself
+only reads.
 
 Atom names never denote a particular atom.  In a literal, ``name^k``
 contributes k atoms of the name's kind, bounded by the declared
@@ -13,7 +13,6 @@ which is all the language lets you say.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .. import algebra
@@ -39,6 +38,7 @@ from ..morphism import (
 )
 from ..morphism import CategoryPresentation
 from ..universe import (
+    CONSTRUCTORS,
     BuildCaps,
     Classification,
     ClosureReport,
@@ -113,7 +113,6 @@ class Session:
             "false": _ValueBinding(False),
         }
         self.checks: list[CheckResult] = []
-        self._lock = threading.Lock()
 
     # -- declarations -------------------------------------------------
 
@@ -130,31 +129,28 @@ class Session:
         self.env[name] = binding
 
     def declare_kind(self, name: str, span: Span | None = None) -> Kind:
-        with self._lock:
-            if name in self.kinds:
-                raise EvalError("kind '%s' is already declared" % name, span=span)
-            kind = Kind(name)
-            self._bind(name, _KindBinding(kind), span)
-            self._bind(kind.atom_token, _AtomsBinding(kind), span)
-            self.kinds[name] = kind
-            self.populations[name] = 0
-            return kind
+        if name in self.kinds:
+            raise EvalError("kind '%s' is already declared" % name, span=span)
+        kind = Kind(name)
+        self._bind(name, _KindBinding(kind), span)
+        self._bind(kind.atom_token, _AtomsBinding(kind), span)
+        self.kinds[name] = kind
+        self.populations[name] = 0
+        return kind
 
     def declare_matoms(self, alias: str, kind_name: str, count: int, span: Span | None = None):
-        with self._lock:
-            kind = self.kinds.get(kind_name)
-            if kind is None:
-                raise EvalError("kind '%s' is not declared" % kind_name, span=span)
-            if self.populations[kind_name] > 0:
-                raise EvalError("atoms of kind '%s' are already declared" % kind_name, span=span)
-            self._bind(alias, _AtomsBinding(kind), span)
-            self.populations[kind_name] = count
+        kind = self.kinds.get(kind_name)
+        if kind is None:
+            raise EvalError("kind '%s' is not declared" % kind_name, span=span)
+        if self.populations[kind_name] > 0:
+            raise EvalError("atoms of kind '%s' are already declared" % kind_name, span=span)
+        self._bind(alias, _AtomsBinding(kind), span)
+        self.populations[kind_name] = count
 
     def declare_catom(self, name: str, span: Span | None = None) -> CAtom:
-        with self._lock:
-            atom = CAtom(name)
-            self._bind(name, _ValueBinding(atom), span)
-            return atom
+        atom = CAtom(name)
+        self._bind(name, _ValueBinding(atom), span)
+        return atom
 
     def population(self, kind: Kind) -> int:
         return self.populations.get(kind.ident, 0)
@@ -368,34 +364,23 @@ def _op_mem(term, env):
     return mem_count(_need_element(term, env, 0), _need_qset(term, env, 1))
 
 
-def _op_pow(term, env):
-    return algebra.power(_need_qset(term, env, 0), cap=env.caps.power_qcard)
+def _constructor_op(row):
+    """The handler for one constructor row: operands, then the universe.
 
+    Caps are not tested up front; the algebra raises CapExceeded itself.
+    """
+    need = _need_qset if row.collections else _need_element
 
-def _op_sing(term, env):
-    return algebra.singleton_in(_need_element(term, env, 0), _need_universe(term, env, 1))
+    def handler(term, env):
+        # A plain loop: a comprehension would add a stack frame per
+        # nesting level of the script.
+        args = []
+        for i in range(row.arity):
+            args.append(need(term, env, i))
+        universe = _need_universe(term, env, row.arity) if row.relative else None
+        return row.apply(tuple(args), universe, env.caps)
 
-
-def _op_pair(term, env):
-    return algebra.pair_in(
-        _need_element(term, env, 0), _need_element(term, env, 1), _need_universe(term, env, 2)
-    )
-
-
-def _op_opair(term, env):
-    return algebra.opair_in(
-        _need_element(term, env, 0), _need_element(term, env, 1), _need_universe(term, env, 2)
-    )
-
-
-def _op_prod(term, env):
-    return algebra.product(
-        _need_qset(term, env, 0), _need_qset(term, env, 1), cap=env.caps.product_qcard
-    )
-
-
-def _op_union(term, env):
-    return algebra.union(_need_qset(term, env, 0), _need_qset(term, env, 1))
+    return handler
 
 
 def _op_bigunion(term, env):
@@ -495,12 +480,6 @@ _HANDLERS = {
     "qc": _op_qc,
     "classical": _op_classical,
     "mem": _op_mem,
-    "pow": _op_pow,
-    "sing": _op_sing,
-    "pair": _op_pair,
-    "opair": _op_opair,
-    "prod": _op_prod,
-    "union": _op_union,
     "bigunion": _op_bigunion,
     "qfun": _op_qfun,
     "idq": _op_idq,
@@ -512,6 +491,10 @@ _HANDLERS = {
     "classify": _op_classify,
     "small": _op_small,
 }
+# Script name of each constructor row, by ledger op.
+_FORMS = {"power": "pow", "singleton": "sing", "pair": "pair", "opair": "opair",
+          "product": "prod", "union": "union"}
+_HANDLERS.update((_FORMS[row.name], _constructor_op(row)) for row in CONSTRUCTORS)
 
 
 # -- rendering --------------------------------------------------------

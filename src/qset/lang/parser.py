@@ -4,6 +4,10 @@ Statements are self-delimiting (there are no infix operators), so a
 program is just a sequence of statements with optional ';' noise
 between them.  Operator arity is checked here, not at evaluation time,
 so a malformed call never starts executing.
+
+Calls, quasi-set literals and pair literals nest at most 200 levels
+deep; the parser, the evaluator and the kernel all recurse on each
+level, and the limit keeps every script inside Python's stack.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ __all__ = [
     "OPERATORS",
     "parse",
 ]
+
+_MAX_NESTING = 200
 
 # op name -> (min arity, max arity)
 OPERATORS: dict[str, tuple[int, int]] = {
@@ -130,6 +136,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -165,6 +172,12 @@ class _Parser:
     def at_punct(self, ch: str) -> bool:
         tok = self.peek()
         return tok.kind == "punct" and tok.text == ch
+
+    def descend(self, tok: Token) -> None:
+        """Enter one nesting level opened by ``tok``; the caller leaves it."""
+        if self.nesting == _MAX_NESTING:
+            self.fail("nesting is deeper than %d levels" % _MAX_NESTING, span=tok.span)
+        self.nesting += 1
 
     # -- grammar -----------------------------------------------------
 
@@ -229,6 +242,7 @@ class _Parser:
         arity = OPERATORS.get(op_tok.text)
         if arity is None:
             self.fail("unknown operator '%s'" % op_tok.text, span=op_tok.span)
+        self.descend(op_tok)
         self.expect_punct("(")
         args = []
         if not self.at_punct(")"):
@@ -237,6 +251,7 @@ class _Parser:
                 self.advance()
                 args.append(self.expression())
         close = self.expect_punct(")")
+        self.nesting -= 1
         lo, hi = arity
         if not (lo <= len(args) <= hi):
             want = str(lo) if lo == hi else "%d to %d" % (lo, hi)
@@ -248,6 +263,7 @@ class _Parser:
         return App(op_tok.text, tuple(args), Span(op_tok.span.start, close.span.end))
 
     def qset_literal(self) -> QSetLit:
+        self.descend(self.peek())
         open_tok = self.expect_punct("{")
         elems = []
         if not self.at_punct("}"):
@@ -256,6 +272,7 @@ class _Parser:
                 self.advance()
                 elems.append(self.element())
         close = self.expect_punct("}")
+        self.nesting -= 1
         return QSetLit(tuple(elems), Span(open_tok.span.start, close.span.end))
 
     def element(self) -> Elem:
@@ -272,11 +289,13 @@ class _Parser:
         return Elem(node, count, Span(_span_of(node).start, end))
 
     def pair_literal(self) -> PairLit:
+        self.descend(self.peek())
         open_tok = self.expect_punct("<")
         first = self.pair_literal() if self.at_punct("<") else self.expression()
         self.expect_punct(",")
         second = self.pair_literal() if self.at_punct("<") else self.expression()
         close = self.expect_punct(">")
+        self.nesting -= 1
         return PairLit(first, second, Span(open_tok.span.start, close.span.end))
 
 

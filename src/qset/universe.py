@@ -21,7 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from . import algebra
 from .errors import CapExceeded, EmptyUniverse
@@ -33,12 +33,14 @@ from .kernel import (
     canonicalize,
     desc_depth,
     desc_is_classical,
-    desc_sort_key,
 )
 from .morphism import CategoryPresentation
 
 __all__ = [
     "BuildCaps",
+    "Constructor",
+    "CONSTRUCTORS",
+    "SECTIONS",
     "LedgerEntry",
     "Fragment",
     "build_fragment",
@@ -57,6 +59,63 @@ class BuildCaps:
     power_qcard: int = algebra.POWER_QCARD_CAP
     product_qcard: int = algebra.PRODUCT_QCARD_CAP
     max_members: int = 128
+
+
+@dataclass(frozen=True)
+class Constructor:
+    """One constructor of the algebra, as build, replay, audit and the
+    script language all use it.
+
+    ``name`` is the ledger op, ``section`` the audit section that checks
+    it.  Operands are ``arity`` members: quasi-sets only if
+    ``collections``, y never before x if ``unordered``.  A ``relative``
+    constructor also reads the universe.  ``cap`` returns the cutoff
+    reason when the caps refuse the operands, else None.
+    """
+
+    name: str
+    section: str
+    arity: int
+    collections: bool
+    unordered: bool
+    relative: bool
+    cap: Callable[[tuple, BuildCaps], str | None]
+    apply: Callable[[tuple, QSet | None, BuildCaps], QSet]
+
+    def operands(self, members: list):
+        """Every operand tuple drawn from ``members``, first operand outermost."""
+        pool = [m for m in members if isinstance(m, QSet)] if self.collections else members
+        if self.unordered:
+            return itertools.combinations_with_replacement(pool, self.arity)
+        return itertools.product(pool, repeat=self.arity)
+
+
+def _uncapped(args, caps):
+    return None
+
+
+# Table order is build order.  Rows look algebra's functions up at call
+# time, so a wrapper installed on the module sees every call.
+CONSTRUCTORS = (
+    Constructor("power", "cond1", 1, True, False, False,
+                lambda a, caps: "power-cap" if a[0].qcard > caps.power_qcard else None,
+                lambda a, u, caps: algebra.power(*a, cap=caps.power_qcard)),
+    Constructor("singleton", "cond2", 1, False, False, True, _uncapped,
+                lambda a, u, caps: algebra.singleton_in(*a, u)),
+    Constructor("union", "theorem1", 2, True, True, False, _uncapped,
+                lambda a, u, caps: algebra.union(*a)),
+    Constructor("product", "cond3", 2, True, False, False,
+                lambda a, caps: "product-cap" if a[0].qcard * a[1].qcard > caps.product_qcard else None,
+                lambda a, u, caps: algebra.product(*a, cap=caps.product_qcard)),
+    Constructor("pair", "theorem1", 2, False, True, True, _uncapped,
+                lambda a, u, caps: algebra.pair_in(*a, u)),
+    Constructor("opair", "theorem1", 2, False, False, True, _uncapped,
+                lambda a, u, caps: algebra.opair_in(*a, u)),
+)
+_BY_NAME = {row.name: row for row in CONSTRUCTORS}
+
+# Audit sections in report order; cond4 (family union) has no row.
+SECTIONS = ("cond1", "cond2", "cond3", "cond4", "theorem1")
 
 
 @dataclass(frozen=True)
@@ -94,16 +153,18 @@ class LedgerEntry:
 class Fragment:
     """A finite piece of universe: an element multiset plus provenance.
 
-    ``rank`` maps each member to its hereditary nesting depth, which is
-    well-founded by construction: a collection always outranks anything
-    it contains.  ``ledger`` replays to exactly ``elements``.
+    ``ledger`` replays to exactly ``elements``.
     """
 
     elements: QSet
-    rank: Mapping[ElementDesc, int]
     ledger: tuple[LedgerEntry, ...]
     caps: BuildCaps
     depth: int
+
+    @property
+    def rank(self) -> dict[ElementDesc, int]:
+        """Each member's hereditary nesting depth, above that of its members."""
+        return {d: desc_depth(d) for d, _ in self.elements.classes()}
 
     def members(self) -> list[tuple[ElementDesc, int]]:
         return list(self.elements.classes())
@@ -132,7 +193,7 @@ class Fragment:
         return {
             "schema": "qset/1",
             "elements": [[canonical_text(d), n] for d, n in self.elements.classes()],
-            "rank": {canonical_text(d): r for d, r in sorted(self.rank.items(), key=lambda kv: desc_sort_key(kv[0]))},
+            "rank": {canonical_text(d): r for d, r in self.rank.items()},
             "depth": self.depth,
             "ledger": [e.to_dict() for e in self.ledger],
         }
@@ -178,7 +239,6 @@ def build_fragment(
         ledger.append(LedgerEntry(op="round", count=r))
         snapshot = QSet(members.items())
         ordered = [d for d, _ in snapshot.classes()]
-        qsets = [d for d in ordered if isinstance(d, QSet)]
 
         def admit(op: str, args: tuple, result: QSet):
             if result in members:
@@ -190,62 +250,46 @@ def build_fragment(
             members[result] = 1
             ledger.append(LedgerEntry(op=op, args=args, result=result))
 
-        for x in qsets:
-            if x.qcard > caps.power_qcard:
-                ledger.append(LedgerEntry(op="power", args=(x,), cutoff="power-cap"))
-            else:
-                admit("power", (x,), algebra.power(x, cap=caps.power_qcard))
-        for x in ordered:
-            admit("singleton", (x,), algebra.singleton_in(x, snapshot))
-        for i, x in enumerate(qsets):
-            for y in qsets[i:]:
-                admit("union", (x, y), algebra.union(x, y))
-        for x in qsets:
-            for y in qsets:
-                if x.qcard * y.qcard > caps.product_qcard:
-                    ledger.append(LedgerEntry(op="product", args=(x, y), cutoff="product-cap"))
+        for row in CONSTRUCTORS:
+            for args in row.operands(ordered):
+                cutoff = row.cap(args, caps)
+                if cutoff is not None:
+                    ledger.append(LedgerEntry(op=row.name, args=args, cutoff=cutoff))
                 else:
-                    admit("product", (x, y), algebra.product(x, y, cap=caps.product_qcard))
-        for i, x in enumerate(ordered):
-            for y in ordered[i:]:
-                admit("pair", (x, y), algebra.pair_in(x, y, snapshot))
-        for x in ordered:
-            for y in ordered:
-                admit("opair", (x, y), algebra.opair_in(x, y, snapshot))
+                    admit(row.name, args, row.apply(args, snapshot, caps))
 
-    elements = QSet(members.items())
-    rank = {desc: desc_depth(desc) for desc in members}
-    return Fragment(elements=elements, rank=rank, ledger=tuple(ledger), caps=caps, depth=depth)
+    return Fragment(elements=QSet(members.items()), ledger=tuple(ledger), caps=caps, depth=depth)
 
 
 def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) -> QSet:
-    """Re-run a ledger and return the element multiset it reconstructs."""
+    """Re-run a ledger and return the element multiset it reconstructs.
+
+    Any divergence raises ValueError, including an op no constructor has
+    or args that do not match the constructor's arity.
+    """
     members: dict[ElementDesc, int] = {}
     snapshot = QSet()
-    ops = {
-        "power": lambda args, snap: algebra.power(args[0], cap=caps.power_qcard),
-        "singleton": lambda args, snap: algebra.singleton_in(args[0], snap),
-        "union": lambda args, snap: algebra.union(args[0], args[1]),
-        "product": lambda args, snap: algebra.product(args[0], args[1], cap=caps.product_qcard),
-        "pair": lambda args, snap: algebra.pair_in(args[0], args[1], snap),
-        "opair": lambda args, snap: algebra.opair_in(args[0], args[1], snap),
-    }
     for entry in ledger:
         if entry.op == "seed":
             members[entry.result] = members.get(entry.result, 0) + entry.count
-        elif entry.op == "round":
-            snapshot = QSet(members.items())
-        elif entry.cutoff is not None:
             continue
-        else:
-            result = ops[entry.op](entry.args, snapshot)
+        if entry.op == "round":
+            snapshot = QSet(members.items())
+            continue
+        row = _BY_NAME.get(entry.op)
+        if row is None or len(entry.args) != row.arity:
+            raise ValueError(
+                "ledger replay diverged at %s with %d args: no such constructor"
+                % (entry.op, len(entry.args))
+            )
+        if entry.cutoff is None:
+            result = row.apply(entry.args, snapshot, caps)
             if result != entry.result:
                 raise ValueError(
                     "ledger replay diverged at %s: got %s, recorded %s"
                     % (entry.op, result.text, canonical_text(entry.result))
                 )
-            if result not in members:
-                members[result] = 1
+            members.setdefault(result, 1)
     return QSet(members.items())
 
 
@@ -286,19 +330,13 @@ class ClosureReport:
 
     @property
     def primitive_defects(self) -> list[Defect]:
-        return [*self.cond1, *self.cond2, *self.cond3, *self.cond4]
+        return [d for s in SECTIONS if s != "theorem1" for d in getattr(self, s)]
 
     def to_dict(self) -> dict:
         return {
             "schema": "qset/1",
             "elements": [[canonical_text(d), n] for d, n in self.elements.classes()],
-            "defects": {
-                "cond1": [d.to_dict() for d in self.cond1],
-                "cond2": [d.to_dict() for d in self.cond2],
-                "cond3": [d.to_dict() for d in self.cond3],
-                "cond4": [d.to_dict() for d in self.cond4],
-                "theorem1": [d.to_dict() for d in self.theorem1],
-            },
+            "defects": {s: [d.to_dict() for d in getattr(self, s)] for s in SECTIONS},
             "totals": self.totals,
         }
 
@@ -332,49 +370,28 @@ def check_qED(
     if universe.qcard == 0:
         raise EmptyUniverse("cannot audit an empty universe")
     ordered = [d for d, _ in universe.classes()]
-    qsets = [d for d in ordered if isinstance(d, QSet)]
+    defects: dict[str, list[Defect]] = {s: [] for s in SECTIONS}
+    checked = dict.fromkeys(SECTIONS, 0)
 
-    cond1: list[Defect] = []
-    cond2: list[Defect] = []
-    cond3: list[Defect] = []
-    cond4: list[Defect] = []
-    theorem1: list[Defect] = []
-    totals = {
-        "members": len(ordered),
-        "cond1_checked": 0,
-        "cond2_checked": 0,
-        "cond3_checked": 0,
-        "cond4_checked": 0,
-        "cond4_truncated": False,
-        "theorem1_checked": 0,
-    }
-
-    for x in qsets:
-        totals["cond1_checked"] += 1
-        if x.qcard > caps.power_qcard:
-            cond1.append(Defect("cond1", "power", (x,), None, note="power-cap"))
+    # Each section lists its defects by witness positions; the stable
+    # sort keeps rows in table order within one argument tuple.  Operands
+    # are the members' own objects, so identity gives their positions.
+    position = {id(d): i for i, d in enumerate(ordered)}
+    checks = [(row, args) for row in CONSTRUCTORS for args in row.operands(ordered)]
+    checks.sort(key=lambda c: (SECTIONS.index(c[0].section), [position[id(a)] for a in c[1]]))
+    for row, args in checks:
+        section = row.section
+        checked[section] += 1
+        cutoff = row.cap(args, caps)
+        if cutoff is not None:
+            defects[section].append(Defect(section, row.name, args, None, note=cutoff))
             continue
-        p = algebra.power(x, cap=caps.power_qcard)
-        if universe.count(p) == 0:
-            cond1.append(Defect("cond1", "power", (x,), p))
-
-    for x in ordered:
-        totals["cond2_checked"] += 1
-        s = algebra.singleton_in(x, universe)
-        if universe.count(s) == 0:
-            cond2.append(Defect("cond2", "singleton", (x,), s))
-
-    for x in qsets:
-        for y in qsets:
-            totals["cond3_checked"] += 1
-            if x.qcard * y.qcard > caps.product_qcard:
-                cond3.append(Defect("cond3", "product", (x, y), None, note="product-cap"))
-                continue
-            pr = algebra.product(x, y, cap=caps.product_qcard)
-            if universe.count(pr) == 0:
-                cond3.append(Defect("cond3", "product", (x, y), pr))
+        result = row.apply(args, universe, caps)
+        if universe.count(result) == 0:
+            defects[section].append(Defect(section, row.name, args, result))
 
     classical = [d for d in ordered if desc_is_classical(d)]
+    qsets = [d for d in ordered if isinstance(d, QSet)]
 
     def families():
         for size in range(1, family_index_bound + 1):
@@ -384,40 +401,19 @@ def check_qED(
 
     fam_iter = families()
     for combo, assignment in itertools.islice(fam_iter, max_families):
-        totals["cond4_checked"] += 1
+        checked["cond4"] += 1
         index = QSet((d, 1) for d in combo)
         fam = algebra.IndexedFamily(index=index, entries=dict(zip(combo, assignment)))
         result = algebra.family_union(fam)
         if universe.count(result) == 0:
-            cond4.append(Defect("cond4", "family_union", tuple(combo) + tuple(assignment), result))
-    totals["cond4_truncated"] = next(fam_iter, None) is not None
+            defects["cond4"].append(Defect("cond4", "family_union", tuple(combo) + tuple(assignment), result))
 
-    for i, x in enumerate(ordered):
-        for j, y in enumerate(ordered):
-            if j >= i:
-                if isinstance(x, QSet) and isinstance(y, QSet):
-                    totals["theorem1_checked"] += 1
-                    un = algebra.union(x, y)
-                    if universe.count(un) == 0:
-                        theorem1.append(Defect("theorem1", "union", (x, y), un))
-                totals["theorem1_checked"] += 1
-                pr = algebra.pair_in(x, y, universe)
-                if universe.count(pr) == 0:
-                    theorem1.append(Defect("theorem1", "pair", (x, y), pr))
-            totals["theorem1_checked"] += 1
-            op = algebra.opair_in(x, y, universe)
-            if universe.count(op) == 0:
-                theorem1.append(Defect("theorem1", "opair", (x, y), op))
-
-    return ClosureReport(
-        elements=universe,
-        cond1=cond1,
-        cond2=cond2,
-        cond3=cond3,
-        cond4=cond4,
-        theorem1=theorem1,
-        totals=totals,
-    )
+    totals = {"members": len(ordered)}
+    for s in SECTIONS:
+        totals[s + "_checked"] = checked[s]
+        if s == "cond4":
+            totals["cond4_truncated"] = next(fam_iter, None) is not None
+    return ClosureReport(elements=universe, totals=totals, **defects)
 
 
 # -- classification --------------------------------------------------
@@ -425,7 +421,6 @@ def check_qED(
 
 class Classification(Enum):
     U_QSET = "UQset"
-    U_QCLASS = "UQclass"
     U_PROPER_QCLASS = "UProperQclass"
     NEITHER = "Neither"
 
@@ -436,8 +431,7 @@ def classify(x: QSet, u: Union[QSet, Fragment]) -> Classification:
     Membership makes it a universe-qset.  Otherwise, if every class of x
     occurs in the fragment with at least x's count, x is a qclass that
     is not a member, i.e. a proper qclass.  A qclass that is also a
-    member reports as a qset; the bare qclass verdict never wins, it is
-    kept for schema completeness.
+    member reports as a qset.
     """
     universe = _as_universe(u)
     if universe.count(x) > 0:

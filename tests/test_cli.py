@@ -1,10 +1,15 @@
-"""End-to-end command line behaviour via subprocesses."""
+"""End-to-end command line behaviour, mostly via subprocesses."""
 
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
+
+from qset.cli import main
 
 PRELUDE = "kind K\nmatoms k: K^5\ncatom A\n"
 
@@ -90,6 +95,34 @@ def test_parse_error_diagnostic(tmp_path):
     assert "%s:1:4: error: expected an expression" % path in proc.stderr
     assert "^" in proc.stderr
     assert "\x1b" not in proc.stderr
+
+
+def eval_stdin(monkeypatch, source):
+    """Run ``qset eval -`` in this process, so a stray exception fails the test."""
+    monkeypatch.setenv("QSET_COLOR", "0")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(source))
+    return main(["eval", "-"])
+
+
+@pytest.mark.parametrize("opener", ["{", "qc(", "union(", "<"])
+def test_nesting_past_the_limit_is_a_parse_error(opener, monkeypatch, capsys):
+    # pairs only occur inside a literal, whose '{' is the first level
+    source = ("{" if opener == "<" else "") + opener * 2000
+    assert eval_stdin(monkeypatch, source) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    # the opener of level 201 starts at byte 200 * len(opener)
+    assert err.startswith("-:1:%d: error: nesting is deeper than 200 levels\n" % (200 * len(opener) + 1))
+
+
+@pytest.mark.parametrize("source, value", [
+    ("{" * 200 + "}" * 200, "{" * 200 + "}" * 200),
+    ("union(" * 200 + "e, e)" + ", e)" * 199, "{}"),
+    ("{" + "<" * 199 + "A, A>" + ", A>" * 198 + "}", "{" + "<" * 199 + "A, A>" + ", A>" * 198 + "}"),
+])
+def test_two_hundred_levels_still_evaluate(source, value, monkeypatch, capsys):
+    assert eval_stdin(monkeypatch, "catom A\nlet e = {}\n" + source + "\n") == 0
+    assert capsys.readouterr().out == value + "\n"
 
 
 def test_runtime_error_diagnostic_points_at_the_literal(tmp_path):

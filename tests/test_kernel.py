@@ -217,6 +217,13 @@ def test_text_sorts_kinds_by_ident():
     assert canonicalize([k(1), j(1)]).text == "{m_J, m_K}"
 
 
+def test_kinds_sharing_an_ident_order_by_atom_token():
+    a, b = Kind("K", "a"), Kind("K", "b")
+    assert QSet([a, b]) == QSet([b, a])
+    assert QSet([b, a]).text == "{a, b}"
+    assert hash(QSet([a, b])) == hash(QSet([b, a]))
+
+
 def test_text_counts_as_superscript():
     assert canonicalize([k(1), k(2), A1]).text == "{m_K^2, A1}"
 

@@ -1,6 +1,7 @@
 """Fragment construction, ledger replay, closure audits, classification."""
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from qset import (
     EmptyUniverse,
     Kind,
     MAtom,
+    LedgerEntry,
     PrimPair,
     QSet,
     build_fragment,
@@ -113,6 +115,34 @@ def test_rank_is_hereditary_depth():
             assert frag.rank[desc] == 0
 
 
+def test_round_ops_run_in_table_order():
+    # Recomputes round 1's applications from the seeds: each constructor
+    # in turn, operands in canonical member order, first operand outermost.
+    x, y = qs((K, 1)), qs(A1)
+    seeds = QSet([x, y, A1])
+    frag = build_fragment(seeds, depth=2, caps=BuildCaps(max_members=400))
+    ordered = [d for d, _ in seeds.classes()]
+    qsets = [d for d in ordered if isinstance(d, QSet)]
+    expected = (
+        [("power", (a,)) for a in qsets]
+        + [("singleton", (a,)) for a in ordered]
+        + [("union", p) for p in itertools.combinations_with_replacement(qsets, 2)]
+        + [("product", p) for p in itertools.product(qsets, qsets)]
+        + [("pair", p) for p in itertools.combinations_with_replacement(ordered, 2)]
+        + [("opair", p) for p in itertools.product(ordered, ordered)]
+    )
+    rounds = [[]]
+    for entry in frag.ledger:
+        if entry.op == "round":
+            rounds.append([])
+        else:
+            rounds[-1].append(entry)
+    assert [(e.op, e.args) for e in rounds[1]] == expected
+    order = ["power", "singleton", "union", "product", "pair", "opair"]
+    for entries in rounds[1:]:
+        assert [op for op, _ in itertools.groupby(e.op for e in entries)] == order
+
+
 def test_monotone_in_depth():
     caps = BuildCaps(max_members=200)
     shallow = build_fragment([k(1), A1], depth=1, caps=caps)
@@ -142,6 +172,17 @@ def test_replay_detects_tampering():
     assert poisoned
     with pytest.raises(ValueError):
         replay_ledger(tuple(tampered), frag.caps)
+
+
+@pytest.mark.parametrize("bad", [
+    LedgerEntry(op="intersection", args=(QSet(), QSet()), result=QSet()),
+    LedgerEntry(op="union", args=(QSet(),), result=QSet()),
+    LedgerEntry(op="power", args=(QSet(), QSet()), result=QSet([QSet()])),
+])
+def test_replay_rejects_entries_no_constructor_takes(bad):
+    frag = build_fragment([qs((K, 1))], depth=1)
+    with pytest.raises(ValueError):
+        replay_ledger(frag.ledger + (bad,), frag.caps)
 
 
 def test_cutoffs_are_recorded_not_silent():
@@ -213,6 +254,29 @@ def test_family_sweep_truncates_at_the_budget():
     report = check_qED(u, max_families=200)
     assert report.totals["cond4_checked"] == 200
     assert report.totals["cond4_truncated"] is True
+
+
+def _audited_fragment():
+    frag = build_fragment([qs((K, 1)), A1], depth=1)
+    report = check_qED(frag, caps=frag.caps)
+    position = {d: i for i, (d, _) in enumerate(frag.elements.classes())}
+    return report, position
+
+
+def test_theorem1_defects_follow_witness_pairs():
+    report, position = _audited_fragment()
+    ops = ["union", "pair", "opair"]
+    assert {d.operation for d in report.theorem1} == set(ops)
+    keys = [(*(position[w] for w in d.witnesses), ops.index(d.operation)) for d in report.theorem1]
+    assert keys == sorted(set(keys))
+
+
+def test_cond3_defects_follow_collection_pairs():
+    report, position = _audited_fragment()
+    assert len(report.cond3) > 1
+    keys = [tuple(position[w] for w in d.witnesses) for d in report.cond3]
+    assert keys == sorted(set(keys))
+    assert all(isinstance(w, QSet) for d in report.cond3 for w in d.witnesses)
 
 
 def test_theorem1_defects_require_primitive_defects():
