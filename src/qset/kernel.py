@@ -6,12 +6,15 @@ and are mutually indistinguishable within it, and classical atoms
 (CAtom), which carry ordinary identity.  A collection of m-atoms only
 remembers *how many* of each kind it holds, never which ones.
 
-A QSet is therefore stored as a multiset of element classes:
-
-  * one count per Kind of m-atom at the top level,
-  * a set of classical atom ids (identity makes repeats meaningless),
-  * one count per nested canonical quasi-set form,
-  * one count per primitive pair form (produced by cartesian products).
+A QSet is therefore stored as one table of element classes: a
+(descriptor, count) entry per class, in canonical order.  A descriptor
+is a Kind (standing for its m-atoms), a CAtom (count always 1, since
+identity makes repeats meaningless), a nested canonical QSet, or a
+PrimPair (produced by cartesian products).  Every descriptor carries
+the same four attributes, computed once when it is made: ``text`` (its
+canonical rendering), ``key`` (its place in the canonical order: kinds
+by ident, then classical atoms, quasi-sets and pairs, each by text),
+``depth`` (hereditary nesting depth) and ``is_classical``.
 
 Values are immutable and canonical: two QSet objects compare equal
 exactly when they are indistinguishable, so == is the
@@ -31,6 +34,7 @@ recover a label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InvalidPermutation
@@ -46,9 +50,6 @@ __all__ = [
     "ElementDesc",
     "as_descriptor",
     "canonical_text",
-    "desc_depth",
-    "desc_is_classical",
-    "desc_sort_key",
     "canonicalize",
     "relabel",
     "indist",
@@ -70,11 +71,16 @@ class Kind:
     ident: str
     atom_token: str = ""
 
+    depth = 0
+    is_classical = False
+
     def __post_init__(self):
         if not self.ident:
             raise ValueError("kind ident must be nonempty")
         if not self.atom_token:
             object.__setattr__(self, "atom_token", "m_" + self.ident)
+        object.__setattr__(self, "text", self.atom_token)
+        object.__setattr__(self, "key", (0, self.ident, self.atom_token))
 
 
 @dataclass(frozen=True)
@@ -83,9 +89,14 @@ class CAtom:
 
     ident: str
 
+    depth = 0
+    is_classical = True
+
     def __post_init__(self):
         if not self.ident:
             raise ValueError("classical atom id must be nonempty")
+        object.__setattr__(self, "text", self.ident)
+        object.__setattr__(self, "key", (1, self.ident))
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,6 @@ class MAtom:
 AtomRef = Union[MAtom, CAtom]
 
 
-@dataclass(frozen=True)
 class PrimPair:
     """A primitive ordered pair of element classes.
 
@@ -114,12 +124,36 @@ class PrimPair:
     atom arguments are normalized (an m-atom stands for its kind).
     """
 
-    first: "ElementDesc"
-    second: "ElementDesc"
+    __slots__ = ("_first", "_second", "_text", "_key", "_depth", "_classical", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "first", as_descriptor(self.first))
-        object.__setattr__(self, "second", as_descriptor(self.second))
+    def __init__(self, first: "ElementDesc", second: "ElementDesc"):
+        first = as_descriptor(first)
+        second = as_descriptor(second)
+        self._first = first
+        self._second = second
+        self._text = text = "<%s, %s>" % (first.text, second.text)
+        self._key = (3, text, first.key, second.key)
+        self._depth = 1 + max(first.depth, second.depth)
+        self._classical = first.is_classical and second.is_classical
+        self._hash = hash((first, second))
+
+    first = property(attrgetter("_first"))
+    second = property(attrgetter("_second"))
+    text = property(attrgetter("_text"))
+    key = property(attrgetter("_key"))
+    depth = property(attrgetter("_depth"))
+    is_classical = property(attrgetter("_classical"))
+
+    def __eq__(self, other):
+        if not isinstance(other, PrimPair):
+            return NotImplemented
+        return self._hash == other._hash and (self._first, self._second) == (other._first, other._second)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "PrimPair(first=%r, second=%r)" % (self.first, self.second)
 
 
 @dataclass(frozen=True)
@@ -128,6 +162,10 @@ class RawPair:
 
     first: object
     second: object
+
+
+def _class_key(entry):
+    return entry[0].key
 
 
 class QSet:
@@ -145,25 +183,13 @@ class QSet:
       * ``PrimPair``  - pair form, counts add across entries.
     """
 
-    __slots__ = (
-        "_ms", "_cs", "_qs", "_ps",
-        "_msd", "_css", "_qsd", "_psd",
-        "_qcard", "_classical", "_depth", "_text", "_skey", "_hash",
-    )
+    __slots__ = ("_items", "_counts", "_text", "_key", "_qcard", "_depth", "_classical", "_hash")
 
     def __init__(self, elements: Iterable = ()):
-        ms: dict[Kind, int] = {}
+        counts: dict[ElementDesc, int] = {}
         labels: dict[Kind, set] = {}
-        cs: set[str] = set()
-        qs: dict[QSet, int] = {}
-        ps: dict[PrimPair, int] = {}
         for entry in elements:
-            if (
-                isinstance(entry, tuple)
-                and len(entry) == 2
-                and isinstance(entry[1], int)
-                and not isinstance(entry, RawPair)
-            ):
+            if isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[1], int):
                 elem, count = entry
             else:
                 elem, count = entry, 1
@@ -173,111 +199,53 @@ class QSet:
                 if count != 1:
                     raise ValueError("a labeled atom entry denotes one atom; use a Kind for bulk counts")
                 labels.setdefault(elem.kind, set()).add(elem.label)
-            elif isinstance(elem, Kind):
-                ms[elem] = ms.get(elem, 0) + count
             elif isinstance(elem, CAtom):
                 if count != 1:
                     raise ValueError("classical atom %s cannot carry multiplicity %d" % (elem.ident, count))
-                cs.add(elem.ident)
-            elif isinstance(elem, QSet):
-                qs[elem] = qs.get(elem, 0) + count
-            elif isinstance(elem, PrimPair):
-                ps[elem] = ps.get(elem, 0) + count
+                counts[elem] = 1
+            elif isinstance(elem, (Kind, QSet, PrimPair)):
+                counts[elem] = counts.get(elem, 0) + count
             else:
                 raise TypeError("cannot place %r in a quasi-set" % (elem,))
         for kind, seen in labels.items():
-            ms[kind] = ms.get(kind, 0) + len(seen)
+            counts[kind] = counts.get(kind, 0) + len(seen)
 
-        self._ms = tuple(sorted(ms.items(), key=lambda kv: (kv[0].ident, kv[0].atom_token)))
-        self._cs = tuple(sorted(cs))
-        self._qs = tuple(sorted(qs.items(), key=lambda kv: (kv[0].text, kv[0]._skey)))
-        self._ps = tuple(sorted(ps.items(), key=lambda kv: (canonical_text(kv[0]), desc_sort_key(kv[0]))))
-        self._msd = dict(self._ms)
-        self._css = frozenset(self._cs)
-        self._qsd = dict(self._qs)
-        self._psd = dict(self._ps)
+        self._items = items = tuple(sorted(counts.items(), key=_class_key))
+        self._counts = counts
+        self._text = text = "{%s}" % ", ".join(d.text if n == 1 else "%s^%d" % (d.text, n) for d, n in items)
+        # member keys break ties between distinct values that render alike,
+        # such as {m_Q} from CAtom("m_Q") and from Kind("Q")
+        self._key = (2, text, tuple((d.key, n) for d, n in items))
+        self._qcard = sum(counts.values())
+        self._depth = 1 + max([d.depth for d in counts]) if counts else 0
+        self._classical = all([d.is_classical for d in counts])
+        self._hash = hash(items)
 
-        self._qcard = (
-            sum(n for _, n in self._ms)
-            + len(self._cs)
-            + sum(n for _, n in self._qs)
-            + sum(n for _, n in self._ps)
-        )
-        self._classical = (
-            not self._ms
-            and all(q.is_classical for q, _ in self._qs)
-            and all(desc_is_classical(p) for p, _ in self._ps)
-        )
-        depths = (
-            [0] * (len(self._ms) + len(self._cs))
-            + [q._depth for q, _ in self._qs]
-            + [desc_depth(p) for p, _ in self._ps]
-        )
-        self._depth = 1 + max(depths) if depths else 0
-
-        parts = []
-        for kind, n in self._ms:
-            parts.append(kind.atom_token if n == 1 else "%s^%d" % (kind.atom_token, n))
-        parts.extend(self._cs)
-        for q, n in self._qs:
-            parts.append(q._text if n == 1 else "%s^%d" % (q._text, n))
-        for p, n in self._ps:
-            t = canonical_text(p)
-            parts.append(t if n == 1 else "%s^%d" % (t, n))
-        self._text = "{" + ", ".join(parts) + "}"
-
-        self._skey = (
-            2,
-            tuple((kind.ident, n) for kind, n in self._ms),
-            self._cs,
-            tuple((q._skey, n) for q, n in self._qs),
-            tuple((desc_sort_key(p), n) for p, n in self._ps),
-        )
-        self._hash = hash(("QSet", self._ms, self._cs, self._qs, self._ps))
+    text = property(attrgetter("_text"))
+    key = property(attrgetter("_key"))
+    qcard = property(attrgetter("_qcard"))
+    depth = property(attrgetter("_depth"))
+    is_classical = property(attrgetter("_classical"))
 
     # -- structure ---------------------------------------------------
 
     def classes(self) -> Iterator[tuple["ElementDesc", int]]:
         """Yield (element descriptor, count) in canonical order."""
-        for kind, n in self._ms:
-            yield kind, n
-        for ident in self._cs:
-            yield CAtom(ident), 1
-        yield from self._qs
-        yield from self._ps
+        return iter(self._items)
 
     def count(self, desc: "ElementDesc") -> int:
-        if isinstance(desc, Kind):
-            return self._msd.get(desc, 0)
-        if isinstance(desc, CAtom):
-            return 1 if desc.ident in self._css else 0
-        if isinstance(desc, QSet):
-            return self._qsd.get(desc, 0)
-        if isinstance(desc, PrimPair):
-            return self._psd.get(desc, 0)
-        raise TypeError("not an element descriptor: %r" % (desc,))
-
-    @property
-    def qcard(self) -> int:
-        return self._qcard
-
-    @property
-    def is_classical(self) -> bool:
-        return self._classical
-
-    @property
-    def depth(self) -> int:
-        return self._depth
-
-    @property
-    def text(self) -> str:
-        return self._text
+        n = self._counts.get(desc)
+        if n is None:
+            if not isinstance(desc, _DESCRIPTORS):
+                raise TypeError("not an element descriptor: %r" % (desc,))
+            return 0
+        return n
 
     def distinct_classes(self) -> int:
-        return len(self._ms) + len(self._cs) + len(self._qs) + len(self._ps)
+        return len(self._items)
 
     def __contains__(self, e) -> bool:
-        return self.count(as_descriptor(e)) > 0
+        return as_descriptor(e) in self._counts
 
     def __bool__(self) -> bool:
         return self._qcard > 0
@@ -287,17 +255,7 @@ class QSet:
             return True
         if not isinstance(other, QSet):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self._ms == other._ms
-            and self._cs == other._cs
-            and self._qs == other._qs
-            and self._ps == other._ps
-        )
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        return self._hash == other._hash and self._items == other._items
 
     def __hash__(self):
         return self._hash
@@ -307,6 +265,7 @@ class QSet:
 
 
 ElementDesc = Union[Kind, CAtom, QSet, PrimPair]
+_DESCRIPTORS = (Kind, CAtom, QSet, PrimPair)
 
 
 def as_descriptor(e) -> ElementDesc:
@@ -317,64 +276,14 @@ def as_descriptor(e) -> ElementDesc:
     """
     if isinstance(e, MAtom):
         return e.kind
-    if isinstance(e, (Kind, CAtom, QSet, PrimPair)):
+    if isinstance(e, _DESCRIPTORS):
         return e
     raise TypeError("not a quasi-set element: %r" % (e,))
 
 
 def canonical_text(d) -> str:
     """Render a descriptor (or canonical value) in canonical text form."""
-    if isinstance(d, MAtom):
-        d = d.kind
-    if isinstance(d, Kind):
-        return d.atom_token
-    if isinstance(d, CAtom):
-        return d.ident
-    if isinstance(d, QSet):
-        return d.text
-    if isinstance(d, PrimPair):
-        return "<%s, %s>" % (canonical_text(d.first), canonical_text(d.second))
-    raise TypeError("not an element descriptor: %r" % (d,))
-
-
-def desc_depth(d) -> int:
-    if isinstance(d, (Kind, CAtom)):
-        return 0
-    if isinstance(d, QSet):
-        return d.depth
-    if isinstance(d, PrimPair):
-        return 1 + max(desc_depth(d.first), desc_depth(d.second))
-    raise TypeError("not an element descriptor: %r" % (d,))
-
-
-def desc_is_classical(d) -> bool:
-    if isinstance(d, Kind):
-        return False
-    if isinstance(d, CAtom):
-        return True
-    if isinstance(d, QSet):
-        return d.is_classical
-    if isinstance(d, PrimPair):
-        return desc_is_classical(d.first) and desc_is_classical(d.second)
-    raise TypeError("not an element descriptor: %r" % (d,))
-
-
-def desc_sort_key(d):
-    """Total order on element descriptors, stable across runs.
-
-    Groups sort m-atom classes, then classical atoms, then nested
-    quasi-sets, then pairs; within a group the canonical text decides
-    and a structural key breaks (pathological) text ties.
-    """
-    if isinstance(d, Kind):
-        return (0, d.ident, d.atom_token)
-    if isinstance(d, CAtom):
-        return (1, d.ident)
-    if isinstance(d, QSet):
-        return (2, d.text, d._skey)
-    if isinstance(d, PrimPair):
-        return (3, canonical_text(d), desc_sort_key(d.first), desc_sort_key(d.second))
-    raise TypeError("not an element descriptor: %r" % (d,))
+    return as_descriptor(d).text
 
 
 # -- labeled builds -------------------------------------------------
@@ -456,9 +365,7 @@ def qcard(x: QSet) -> int:
 
 def is_classical(x) -> bool:
     """True when nothing in x is an m-atom, hereditarily."""
-    if isinstance(x, QSet):
-        return x.is_classical
-    return desc_is_classical(as_descriptor(x))
+    return as_descriptor(x).is_classical
 
 
 def mem_count(e, x: QSet) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidQuasiFunction, NotComposable
-from .kernel import ElementDesc, PrimPair, QSet, canonical_text, desc_sort_key
+from .kernel import ElementDesc, PrimPair, QSet, canonical_text
 
 __all__ = [
     "QuasiRelation",
@@ -59,7 +59,7 @@ class QuasiRelation:
                 raise ValueError("graph uses %s, not a class of the codomain" % canonical_text(b))
 
     def sorted_graph(self) -> list[GraphPair]:
-        return sorted(self.graph, key=lambda ab: (desc_sort_key(ab[0]), desc_sort_key(ab[1])))
+        return sorted(self.graph, key=lambda ab: (ab[0].key, ab[1].key))
 
 
 @dataclass(frozen=True)

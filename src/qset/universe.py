@@ -31,8 +31,6 @@ from .kernel import (
     QSet,
     canonical_text,
     canonicalize,
-    desc_depth,
-    desc_is_classical,
 )
 from .morphism import CategoryPresentation
 
@@ -164,7 +162,7 @@ class Fragment:
     @property
     def rank(self) -> dict[ElementDesc, int]:
         """Each member's hereditary nesting depth, above that of its members."""
-        return {d: desc_depth(d) for d, _ in self.elements.classes()}
+        return {d: d.depth for d, _ in self.elements.classes()}
 
     def members(self) -> list[tuple[ElementDesc, int]]:
         return list(self.elements.classes())
@@ -390,7 +388,7 @@ def check_qED(
         if universe.count(result) == 0:
             defects[section].append(Defect(section, row.name, args, result))
 
-    classical = [d for d in ordered if desc_is_classical(d)]
+    classical = [d for d in ordered if d.is_classical]
     qsets = [d for d in ordered if isinstance(d, QSet)]
 
     def families():

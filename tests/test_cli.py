@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, mostly via subprocesses."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,8 +9,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qset.cli import main
+from qset.lang.eval import _HANDLERS
+from qset.lang.lexer import KEYWORDS
 
 PRELUDE = "kind K\nmatoms k: K^5\ncatom A\n"
 
@@ -123,6 +128,25 @@ def test_nesting_past_the_limit_is_a_parse_error(opener, monkeypatch, capsys):
 def test_two_hundred_levels_still_evaluate(source, value, monkeypatch, capsys):
     assert eval_stdin(monkeypatch, "catom A\nlet e = {}\n" + source + "\n") == 0
     assert capsys.readouterr().out == value + "\n"
+
+
+# Pieces of the script language for the fuzzer: keywords, operator
+# names, punctuation, the names PRELUDE declares, numbers and spacing.
+SCRIPT_PIECES = sorted(KEYWORDS) + sorted(_HANDLERS) + list('{}(),^:=;<>"#') + [
+    "k", "K", "A", "x", "0", "1", "2", "5", "99", " ", "\n",
+]
+
+
+@given(st.booleans(), st.lists(st.one_of(st.sampled_from(SCRIPT_PIECES), st.text(max_size=4)), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_any_script_text_exits_with_a_documented_code(prelude, pieces):
+    source = (PRELUDE if prelude else "") + "".join(pieces)
+    stdin, sys.stdin = sys.stdin, io.StringIO(source)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["eval", "-"]) in (0, 1, 2)
+    finally:
+        sys.stdin = stdin
 
 
 def test_runtime_error_diagnostic_points_at_the_literal(tmp_path):

@@ -254,6 +254,29 @@ def test_raw_pair_canonicalizes_to_prim_pair():
     assert desc.first == canonicalize([k(1)])
 
 
+def test_deep_pair_chain_builds_renders_and_counts():
+    # every descriptor caches text, key, depth and hash, so nothing
+    # re-walks the chain
+    p = CAtom("a")
+    for _ in range(1500):
+        p = PrimPair(p, CAtom("a"))
+    x = QSet([p])
+    assert canonical_text(p) == "<" * 1500 + "a" + ", a>" * 1500
+    assert x.depth == 1501
+    assert p in x
+
+
+@pytest.mark.parametrize("value, attr", [
+    (QSet([A1]), "text"),
+    (QSet([A1]), "qcard"),
+    (PrimPair(A1, A2), "first"),
+    (PrimPair(A1, A2), "text"),
+])
+def test_values_are_immutable(value, attr):
+    with pytest.raises(AttributeError):
+        setattr(value, attr, getattr(value, attr))
+
+
 # -- relabeling and equivariance ---------------------------------------
 
 
