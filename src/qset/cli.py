@@ -15,7 +15,7 @@ import sys
 
 from .errors import ParseError, QsetError
 from .gen import StructureGen
-from .lang.eval import Outcome, Session, render, run_program
+from .lang.eval import Outcome, Session, render, run_program, run_statements
 from .lang.lexer import Span, tokenize
 from .lang.parser import parse
 from .morphism import LawReport, check_category_laws
@@ -324,9 +324,8 @@ def _run_repl(args) -> int:
             buffer = ""
             continue
         source, buffer = buffer, ""
-        del program  # re-run through the session for bindings and checks
         try:
-            outcomes = run_program(source, session)
+            outcomes = run_statements(program, session)
         except QsetError as err:
             _diagnostic(source, "<repl>", err)
             continue

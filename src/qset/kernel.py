@@ -145,9 +145,26 @@ class PrimPair:
     is_classical = property(attrgetter("_classical"))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PrimPair):
             return NotImplemented
-        return self._hash == other._hash and (self._first, self._second) == (other._first, other._second)
+        if self._hash != other._hash:
+            return False
+        # walk nested pairs with an explicit stack, so chains of any depth compare
+        stack = [(self._second, other._second), (self._first, other._first)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, PrimPair) and isinstance(b, PrimPair):
+                if a._hash != b._hash:
+                    return False
+                stack.append((a._second, b._second))
+                stack.append((a._first, b._first))
+            elif a != b:
+                return False
+        return True
 
     def __hash__(self):
         return self._hash

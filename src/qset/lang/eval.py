@@ -64,7 +64,7 @@ from .parser import (
     parse,
 )
 
-__all__ = ["Session", "CheckResult", "Outcome", "evaluate", "render", "run_program"]
+__all__ = ["Session", "CheckResult", "Outcome", "evaluate", "render", "run_program", "run_statements"]
 
 
 @dataclass(frozen=True)
@@ -166,11 +166,12 @@ class Session:
 
 def run_program(source: str, session: Session) -> list[Outcome]:
     """Tokenize, parse and evaluate a whole program against a session."""
-    program = parse(tokenize(source))
-    outcomes: list[Outcome] = []
-    for stmt in program:
-        outcomes.append(_exec_statement(stmt, session))
-    return outcomes
+    return run_statements(parse(tokenize(source)), session)
+
+
+def run_statements(program, session: Session) -> list[Outcome]:
+    """Evaluate already parsed statements in order against a session."""
+    return [_exec_statement(stmt, session) for stmt in program]
 
 
 def _exec_statement(stmt, session: Session) -> Outcome:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence, Union
@@ -28,6 +29,7 @@ from .errors import CapExceeded, EmptyUniverse
 from .kernel import (
     AtomRef,
     ElementDesc,
+    PrimPair,
     QSet,
     canonical_text,
     canonicalize,
@@ -38,6 +40,7 @@ __all__ = [
     "BuildCaps",
     "Constructor",
     "CONSTRUCTORS",
+    "MemberIndex",
     "SECTIONS",
     "LedgerEntry",
     "Fragment",
@@ -68,7 +71,10 @@ class Constructor:
     it.  Operands are ``arity`` members: quasi-sets only if
     ``collections``, y never before x if ``unordered``.  A ``relative``
     constructor also reads the universe.  ``cap`` returns the cutoff
-    reason when the caps refuse the operands, else None.
+    reason when the caps refuse the operands, else None.  ``find`` is
+    the membership test: it returns the member of a ``MemberIndex``
+    equal to what ``apply`` would return, or None when no member is,
+    and builds no value on the way.
     """
 
     name: str
@@ -79,6 +85,7 @@ class Constructor:
     relative: bool
     cap: Callable[[tuple, BuildCaps], str | None]
     apply: Callable[[tuple, QSet | None, BuildCaps], QSet]
+    find: Callable[[tuple, QSet | None, "MemberIndex"], QSet | None]
 
     def operands(self, members: list):
         """Every operand tuple drawn from ``members``, first operand outermost."""
@@ -92,23 +99,126 @@ def _uncapped(args, caps):
     return None
 
 
+class MemberIndex:
+    """The quasi-set members of a full fragment, keyed for ``find``.
+
+    ``by_classes`` keys each member by the frozenset of its
+    ``(descriptor, count)`` classes.  Two quasi-sets are equal exactly
+    when those sets are, so a ``find`` that derives the same set from
+    its operands gets the equal member without building the result.
+    ``by_opair`` keys members of count-1 quasi-sets by the set of their
+    classes' sets.  ``by_product`` (full rectangles of pairs, by their
+    first and second components) and ``by_power`` (by the one class of
+    greatest qcard) hold candidates that ``find`` then checks.
+    """
+
+    __slots__ = ("by_classes", "by_opair", "by_product", "by_power")
+
+    def __init__(self, members: Iterable[ElementDesc]):
+        self.by_classes: dict[frozenset, QSet] = {}
+        self.by_opair: dict[frozenset, QSet] = {}
+        self.by_product: dict[tuple, list[QSet]] = {}
+        self.by_power: dict[QSet, list[QSet]] = {}
+        for m in members:
+            if not isinstance(m, QSet):
+                continue
+            classes = list(m.classes())
+            self.by_classes[frozenset(classes)] = m
+            if not classes:
+                continue
+            if all(isinstance(d, QSet) for d, _ in classes):
+                if all(n == 1 for _, n in classes):
+                    self.by_opair[frozenset(frozenset(d.classes()) for d, _ in classes)] = m
+                # power(x) holds x once and every other class below x's qcard
+                top = max(d.qcard for d, _ in classes)
+                tops = [d for d, _ in classes if d.qcard == top]
+                if len(tops) == 1:
+                    self.by_power.setdefault(tops[0], []).append(m)
+            elif all(isinstance(d, PrimPair) for d, _ in classes):
+                firsts = frozenset(d.first for d, _ in classes)
+                seconds = frozenset(d.second for d, _ in classes)
+                if len(classes) == len(firsts) * len(seconds):
+                    self.by_product.setdefault((firsts, seconds), []).append(m)
+
+
+def _find_power(args, universe, index):
+    # exact: prod(n + 1) distinct classes, each a pick from x counted prod C(n, k), are all of power(x)
+    (x,) = args
+    picks = math.prod(n + 1 for _, n in x.classes())
+    for m in index.by_power.get(x, ()):
+        if m.distinct_classes() == picks and all(
+            n == math.prod(math.comb(x.count(d), k) for d, k in sub.classes()) for sub, n in m.classes()
+        ):
+            return m
+    return None
+
+
+def _find_singleton(args, universe, index):
+    # exact: singleton_in(x, u) is the one class (x, u.count(x))
+    (x,) = args
+    return index.by_classes.get(frozenset(((x, universe.count(x)),)))
+
+
+def _find_union(args, universe, index):
+    # exact: union is the classwise maximum of counts, merged here on a dict
+    x, y = args
+    counts = dict(x.classes())
+    for d, n in y.classes():
+        if counts.get(d, 0) < n:
+            counts[d] = n
+    return index.by_classes.get(frozenset(counts.items()))
+
+
+def _find_product(args, universe, index):
+    # exact: a full rectangle of pairs <a, b> over x and y, each counted x.count(a) * y.count(b), is product(x, y)
+    x, y = args
+    if not x.distinct_classes() or not y.distinct_classes():
+        return index.by_classes.get(frozenset())
+    key = (frozenset(d for d, _ in x.classes()), frozenset(d for d, _ in y.classes()))
+    for m in index.by_product.get(key, ()):
+        if all(n == x.count(p.first) * y.count(p.second) for p, n in m.classes()):
+            return m
+    return None
+
+
+def _find_pair(args, universe, index):
+    # exact: pair_in is the classes (x, u.count(x)) and (y, u.count(y)), which the set merges when x == y
+    x, y = args
+    return index.by_classes.get(frozenset(((x, universe.count(x)), (y, universe.count(y)))))
+
+
+def _find_opair(args, universe, index):
+    # exact: opair_in is {sing(x), pair(x, y)} once each, keyed by their class sets; one class when x == y
+    x, y = args
+    sx = (x, universe.count(x))
+    single = frozenset((sx,))
+    pair = frozenset((sx, (y, universe.count(y))))
+    return index.by_opair.get(frozenset((single, pair)))
+
+
 # Table order is build order.  Rows look algebra's functions up at call
 # time, so a wrapper installed on the module sees every call.
 CONSTRUCTORS = (
     Constructor("power", "cond1", 1, True, False, False,
                 lambda a, caps: "power-cap" if a[0].qcard > caps.power_qcard else None,
-                lambda a, u, caps: algebra.power(*a, cap=caps.power_qcard)),
+                lambda a, u, caps: algebra.power(*a, cap=caps.power_qcard),
+                _find_power),
     Constructor("singleton", "cond2", 1, False, False, True, _uncapped,
-                lambda a, u, caps: algebra.singleton_in(*a, u)),
+                lambda a, u, caps: algebra.singleton_in(*a, u),
+                _find_singleton),
     Constructor("union", "theorem1", 2, True, True, False, _uncapped,
-                lambda a, u, caps: algebra.union(*a)),
+                lambda a, u, caps: algebra.union(*a),
+                _find_union),
     Constructor("product", "cond3", 2, True, False, False,
                 lambda a, caps: "product-cap" if a[0].qcard * a[1].qcard > caps.product_qcard else None,
-                lambda a, u, caps: algebra.product(*a, cap=caps.product_qcard)),
+                lambda a, u, caps: algebra.product(*a, cap=caps.product_qcard),
+                _find_product),
     Constructor("pair", "theorem1", 2, False, True, True, _uncapped,
-                lambda a, u, caps: algebra.pair_in(*a, u)),
+                lambda a, u, caps: algebra.pair_in(*a, u),
+                _find_pair),
     Constructor("opair", "theorem1", 2, False, False, True, _uncapped,
-                lambda a, u, caps: algebra.opair_in(*a, u)),
+                lambda a, u, caps: algebra.opair_in(*a, u),
+                _find_opair),
 )
 _BY_NAME = {row.name: row for row in CONSTRUCTORS}
 
@@ -218,6 +328,11 @@ def build_fragment(
     fragment as it stood when the round began, in canonical order, so
     the result is a deterministic function of the inputs.  Results the
     caps refuse become cutoff entries in the ledger.
+
+    Once the member cap is full the members are final, so results past
+    it are looked up, not computed: each row's ``find`` returns the equal
+    member, logged as a duplicate, or None, logged as a ``member-cap``
+    cutoff.  The ledger is the same as if every result were built.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -232,29 +347,30 @@ def build_fragment(
     ledger: list[LedgerEntry] = [
         LedgerEntry(op="seed", result=desc, count=n) for desc, n in base.classes()
     ]
+    index = MemberIndex(members) if len(members) >= caps.max_members else None
 
     for r in range(1, depth + 1):
         ledger.append(LedgerEntry(op="round", count=r))
         snapshot = QSet(members.items())
         ordered = [d for d, _ in snapshot.classes()]
-
-        def admit(op: str, args: tuple, result: QSet):
-            if result in members:
-                ledger.append(LedgerEntry(op=op, args=args, result=result))
-                return
-            if len(members) >= caps.max_members:
-                ledger.append(LedgerEntry(op=op, args=args, cutoff="member-cap"))
-                return
-            members[result] = 1
-            ledger.append(LedgerEntry(op=op, args=args, result=result))
-
         for row in CONSTRUCTORS:
             for args in row.operands(ordered):
                 cutoff = row.cap(args, caps)
                 if cutoff is not None:
                     ledger.append(LedgerEntry(op=row.name, args=args, cutoff=cutoff))
+                elif index is not None:
+                    result = row.find(args, snapshot, index)
+                    if result is None:
+                        ledger.append(LedgerEntry(op=row.name, args=args, cutoff="member-cap"))
+                    else:
+                        ledger.append(LedgerEntry(op=row.name, args=args, result=result))
                 else:
-                    admit(row.name, args, row.apply(args, snapshot, caps))
+                    result = row.apply(args, snapshot, caps)
+                    if result not in members:
+                        members[result] = 1
+                        if len(members) >= caps.max_members:
+                            index = MemberIndex(members)
+                    ledger.append(LedgerEntry(op=row.name, args=args, result=result))
 
     return Fragment(elements=QSet(members.items()), ledger=tuple(ledger), caps=caps, depth=depth)
 

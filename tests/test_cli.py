@@ -278,3 +278,35 @@ def test_repl_recovers_after_an_error():
     assert proc.returncode == 0
     assert "error" in proc.stderr
     assert "1\n" in proc.stdout
+
+
+REPL_SESSION = (
+    PRELUDE
+    + "let x = {k^2, A}\nx\nqc(x)\npow({k})\ncheck eq(qc(x), 3)\ncheck eq(1, 2)\n"
+    + "qc(nope)\nunion(x, {k^3})\n"
+)
+
+
+def test_repl_parses_each_input_once(monkeypatch, capsys):
+    import qset.cli
+    import qset.lang.eval
+
+    parses = []
+
+    def counting(parse):
+        def wrapped(tokens):
+            parses.append(1)
+            return parse(tokens)
+        return wrapped
+
+    monkeypatch.setattr(qset.cli, "parse", counting(qset.cli.parse))
+    monkeypatch.setattr(qset.lang.eval, "parse", counting(qset.lang.eval.parse))
+    monkeypatch.setenv("QSET_COLOR", "0")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(REPL_SESSION))
+    assert main(["repl"]) == 1
+    out, err = capsys.readouterr()
+    assert len(parses) == REPL_SESSION.count("\n")
+    assert out == (
+        "{m_K^2, A}\n3\n{{m_K}, {}}\ncheck passed\ncheck failed\n{m_K^3, A}\n"
+    )
+    assert err == "<repl>:1:4: error: name 'nope' is not bound\n  qc(nope)\n     ^^^^\n"

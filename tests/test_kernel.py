@@ -266,6 +266,24 @@ def test_deep_pair_chain_builds_renders_and_counts():
     assert p in x
 
 
+def _chain(leaf, depth=1500):
+    p = CAtom("a")
+    for _ in range(depth):
+        p = PrimPair(p, leaf)
+    return p
+
+
+def test_separately_built_deep_pair_chains_compare():
+    # equality walks the chain with an explicit stack, not one Python
+    # frame per level
+    a, b, c = _chain(CAtom("a")), _chain(CAtom("a")), _chain(CAtom("b"))
+    assert a is not b
+    assert a == b
+    assert a != c
+    assert QSet([a]) == QSet([b])
+    assert QSet([a]) != QSet([c])
+
+
 @pytest.mark.parametrize("value, attr", [
     (QSet([A1]), "text"),
     (QSet([A1]), "qcard"),

@@ -1,6 +1,7 @@
 """Fragment construction, ledger replay, closure audits, classification."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -26,6 +27,7 @@ from qset import (
     is_small_category,
     replay_ledger,
 )
+from qset import algebra
 from qset.gen import StructureGen
 
 K = Kind("K")
@@ -197,6 +199,139 @@ def test_power_cap_cutoff_marker():
     caps = BuildCaps(power_qcard=2, max_members=64)
     frag = build_fragment([qs((K, 3))], depth=1, caps=caps)
     assert any(e.op == "power" and e.cutoff == "power-cap" for e in frag.ledger)
+
+
+# -- past the member cap ------------------------------------------------
+
+# Each constructor recomputed straight from qset.algebra, apart from the
+# constructor table the build uses.
+RECOMPUTE = {
+    "power": lambda a, u, caps: algebra.power(a[0], cap=caps.power_qcard),
+    "singleton": lambda a, u, caps: algebra.singleton_in(a[0], u),
+    "union": lambda a, u, caps: algebra.union(a[0], a[1]),
+    "product": lambda a, u, caps: algebra.product(a[0], a[1], cap=caps.product_qcard),
+    "pair": lambda a, u, caps: algebra.pair_in(a[0], a[1], u),
+    "opair": lambda a, u, caps: algebra.opair_in(a[0], a[1], u),
+}
+
+DEEP_CAPS = BuildCaps(max_members=64, power_qcard=8, product_qcard=256)
+
+
+def _cap_builds():
+    """(seeds, depth, caps): StructureGen seeds under tight member caps,
+    and the deep-build seed shapes."""
+    gen = StructureGen(41)
+    builds = []
+    for cap in (8, 12, 16, 20, 24):
+        for depth in (2, 3):
+            seeds = [gen.qset(max_qcard=3, max_depth=1) for _ in range(gen.rng.randint(1, 3))]
+            seeds.append(gen.rng.choice(gen.catoms + [gen.fresh_atom(gen.kinds[0])]))
+            builds.append((seeds, depth, BuildCaps(max_members=cap, power_qcard=6)))
+    for seeds in ([(K, 2)], [A1], [PrimPair(K, A1)], [QSet()]):
+        builds.append((QSet(seeds), 3, DEEP_CAPS))
+    # the cap fills on {A1} x {m_K^2}; {A1} x {m_K} next has the same pairs
+    # with other counts and must not be taken for it
+    builds.append(([qs((K, 1)), qs((K, 2)), qs(A1)], 2, BuildCaps(max_members=13)))
+    return builds
+
+
+def _walk_past_the_cap(frag):
+    """Count the applications computed before the member cap filled, and
+    list (entry, universe) for every application after it."""
+    members = {}
+    snapshot = QSet()
+    computed = 0
+    after = []
+    for entry in frag.ledger:
+        if entry.op == "seed":
+            members[entry.result] = entry.count
+        elif entry.op == "round":
+            snapshot = QSet(members.items())
+        elif len(members) >= frag.caps.max_members:
+            after.append((entry, snapshot))
+        elif entry.cutoff is None:
+            computed += 1
+            members.setdefault(entry.result, 1)
+        else:
+            assert entry.cutoff in ("power-cap", "product-cap")
+    return computed, after
+
+
+def test_results_past_the_member_cap_are_exact():
+    found = {op: [0, 0] for op in RECOMPUTE}  # op -> [duplicates, cutoffs]
+    for frag in [build_fragment(*b) for b in _cap_builds()]:
+        _, after = _walk_past_the_cap(frag)
+        for entry, universe in after:
+            if entry.cutoff in ("power-cap", "product-cap"):
+                continue
+            result = RECOMPUTE[entry.op](entry.args, universe, frag.caps)
+            if entry.cutoff == "member-cap":
+                assert frag.elements.count(result) == 0, (entry.op, result.text)
+                found[entry.op][1] += 1
+            else:
+                assert entry.cutoff is None
+                assert entry.result == result, (entry.op, result.text)
+                assert frag.elements.count(entry.result) > 0
+                found[entry.op][0] += 1
+    for op, (dups, cuts) in found.items():
+        assert dups > 0 and cuts > 0, (op, dups, cuts)
+
+
+def test_nothing_is_computed_past_the_member_cap(monkeypatch):
+    depth = [0]
+    calls = [0]
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    builds = _cap_builds()
+    for name in ("power", "singleton_in", "union", "product", "pair_in", "opair_in"):
+        monkeypatch.setattr(algebra, name, counting(getattr(algebra, name)))
+    frags = [build_fragment(*b) for b in builds]
+    monkeypatch.undo()
+    total = 0
+    for frag in frags:
+        computed, after = _walk_past_the_cap(frag)
+        total += computed
+        assert after
+    # one top-level constructor call per application before the cap filled
+    assert calls[0] == total
+
+
+# sha256 of fixed fragment documents: looking results up past the member
+# cap must leave every byte of the ledger as building them did.
+LEDGER_PINS = [
+    # member cap filled in round 2
+    ([CAtom("a"), CAtom("b")], 2, BuildCaps(max_members=12),
+     "c5d7120bb75ef869104c42a4a3325d23b7f6d129635afc272e9c60f80e45a5af"),
+    # member cap filled in round 3, deep-build shapes
+    (QSet([PrimPair(K, CAtom("a"))]), 3, DEEP_CAPS,
+     "410393c01e9ec3a7c896ec33e0d4837ae4904e3bdf9b70db7b76600197956da6"),
+    (QSet([QSet()]), 3, DEEP_CAPS,
+     "594f23dddf20798997d39bce9b8ae317902b586ac9c4ea5f2a060984e8804185"),
+    # power-cap and product-cap cutoffs before the member cap fills
+    ([QSet([(K, 3)]), CAtom("a")], 2, BuildCaps(max_members=40, power_qcard=2, product_qcard=6),
+     "99eafebe32815382aa6254f04526aa10de11f4e0b1839490e5869cd31f54f213"),
+    # power-cap and product-cap cutoffs after the member cap filled in round 2
+    ([QSet([(K, 2)])], 3, BuildCaps(max_members=24, power_qcard=3, product_qcard=20),
+     "09c0edb409c79e72802c6e09c795b4a756c445e61183b7f62b44d8ea543f049d"),
+    # the seeds alone fill the member cap
+    ([CAtom("a"), CAtom("b"), QSet([(K, 2)])], 2, BuildCaps(max_members=3),
+     "dd3d594f3a4b4ff9628bec11e073c8e6a06282c1af1a2cf8fe9d0f95dfb5a17c"),
+]
+
+
+@pytest.mark.parametrize("seeds, depth, caps, digest", LEDGER_PINS)
+def test_fragment_documents_are_pinned(seeds, depth, caps, digest):
+    frag = build_fragment(seeds, depth, caps)
+    assert hashlib.sha256(frag.to_json().encode("utf-8")).hexdigest() == digest
 
 
 # -- closure audit -------------------------------------------------------
