@@ -29,6 +29,7 @@ __all__ = [
     "singleton_in",
     "pair_in",
     "opair_in",
+    "opair_from",
     "product",
     "union",
     "IndexedFamily",
@@ -80,11 +81,15 @@ def opair_in(x, y, universe: QSet) -> QSet:
     Built as {class-of-x, pair-of-x-y}; when the two components coincide
     (x and y indistinguishable) the forms collapse to a single member.
     """
-    s = singleton_in(x, universe)
-    p = pair_in(x, y, universe)
-    if s == p:
-        return QSet([s])
-    return QSet([s, p])
+    return opair_from(singleton_in(x, universe), pair_in(x, y, universe))
+
+
+def opair_from(single: QSet, pair: QSet) -> QSet:
+    """The ordered pair {single, pair} from its two parts: the class of x
+    and the pair of x and y.  Equal parts collapse to one member."""
+    if single == pair:
+        return QSet([single])
+    return QSet([single, pair])
 
 
 def product(x: QSet, y: QSet, *, cap: int = PRODUCT_QCARD_CAP) -> QSet:

@@ -151,20 +151,7 @@ class PrimPair:
             return NotImplemented
         if self._hash != other._hash:
             return False
-        # walk nested pairs with an explicit stack, so chains of any depth compare
-        stack = [(self._second, other._second), (self._first, other._first)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if isinstance(a, PrimPair) and isinstance(b, PrimPair):
-                if a._hash != b._hash:
-                    return False
-                stack.append((a._second, b._second))
-                stack.append((a._first, b._first))
-            elif a != b:
-                return False
-        return True
+        return _same_nesting(self, other)
 
     def __hash__(self):
         return self._hash
@@ -272,7 +259,9 @@ class QSet:
             return True
         if not isinstance(other, QSet):
             return NotImplemented
-        return self._hash == other._hash and self._items == other._items
+        if self._hash != other._hash:
+            return False
+        return _same_nesting(self, other)
 
     def __hash__(self):
         return self._hash
@@ -283,6 +272,31 @@ class QSet:
 
 ElementDesc = Union[Kind, CAtom, QSet, PrimPair]
 _DESCRIPTORS = (Kind, CAtom, QSet, PrimPair)
+
+
+def _same_nesting(x, y) -> bool:
+    """Whether two descriptors are equal, walking nested quasi-sets and
+    pairs with an explicit stack, so that values of any depth compare."""
+    stack = [(x, y)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if isinstance(a, QSet) and isinstance(b, QSet):
+            if a._hash != b._hash or len(a._items) != len(b._items):
+                return False
+            for (da, na), (db, nb) in zip(a._items, b._items):
+                if na != nb:
+                    return False
+                stack.append((da, db))
+        elif isinstance(a, PrimPair) and isinstance(b, PrimPair):
+            if a._hash != b._hash:
+                return False
+            stack.append((a._second, b._second))
+            stack.append((a._first, b._first))
+        elif a != b:
+            return False
+    return True
 
 
 def as_descriptor(e) -> ElementDesc:

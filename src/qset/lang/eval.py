@@ -43,6 +43,7 @@ from ..universe import (
     Classification,
     ClosureReport,
     Fragment,
+    Parts,
     build_fragment,
     check_qED,
     classify,
@@ -378,8 +379,8 @@ def _constructor_op(row):
         args = []
         for i in range(row.arity):
             args.append(need(term, env, i))
-        universe = _need_universe(term, env, row.arity) if row.relative else None
-        return row.apply(tuple(args), universe, env.caps)
+        parts = Parts(_need_universe(term, env, row.arity)) if row.relative else None
+        return row.apply(tuple(args), parts, env.caps)
 
     return handler
 

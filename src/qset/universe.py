@@ -41,6 +41,7 @@ __all__ = [
     "Constructor",
     "CONSTRUCTORS",
     "MemberIndex",
+    "Parts",
     "SECTIONS",
     "LedgerEntry",
     "Fragment",
@@ -70,8 +71,9 @@ class Constructor:
     ``name`` is the ledger op, ``section`` the audit section that checks
     it.  Operands are ``arity`` members: quasi-sets only if
     ``collections``, y never before x if ``unordered``.  A ``relative``
-    constructor also reads the universe.  ``cap`` returns the cutoff
-    reason when the caps refuse the operands, else None.  ``find`` is
+    constructor also reads the universe, through the ``Parts`` that
+    ``apply`` takes.  ``cap`` returns the cutoff reason when the caps
+    refuse the operands, else None.  ``find`` is
     the membership test: it returns the member of a ``MemberIndex``
     equal to what ``apply`` would return, or None when no member is,
     and builds no value on the way.
@@ -84,7 +86,7 @@ class Constructor:
     unordered: bool
     relative: bool
     cap: Callable[[tuple, BuildCaps], str | None]
-    apply: Callable[[tuple, QSet | None, BuildCaps], QSet]
+    apply: Callable[[tuple, "Parts | None", BuildCaps], QSet]
     find: Callable[[tuple, QSet | None, "MemberIndex"], QSet | None]
 
     def operands(self, members: list):
@@ -97,6 +99,57 @@ class Constructor:
 
 def _uncapped(args, caps):
     return None
+
+
+class Parts:
+    """A universe and the constructor parts built against it so far.
+
+    The relative constructors are made of class singletons and pairs,
+    and an audit also unions families whose entry sets repeat.  A caller
+    that applies many constructors to one fixed universe (a build or
+    replay round, an audit) keeps one ``Parts`` and builds each part
+    once; the parts go when it does.  Every part depends only on its key
+    and the universe, and values are immutable, so a shared part is
+    exactly the value a fresh call would build.
+    """
+
+    __slots__ = ("universe", "_singletons", "_pairs", "_unions")
+
+    def __init__(self, universe: QSet):
+        self.universe = universe
+        self._singletons: dict = {}
+        self._pairs: dict[frozenset, QSet] = {}
+        self._unions: dict[frozenset, QSet] = {}
+
+    def singleton(self, x) -> QSet:
+        # exact: singleton_in(x, u) reads only x and u's count of it
+        s = self._singletons.get(x)
+        if s is None:
+            s = self._singletons[x] = algebra.singleton_in(x, self.universe)
+        return s
+
+    def pair(self, x, y) -> QSet:
+        # exact: pair_in(x, y, u) is the union of the two singletons, and union commutes, so {x, y} keys it
+        key = frozenset((x, y))
+        p = self._pairs.get(key)
+        if p is None:
+            p = self._pairs[key] = algebra.union(self.singleton(x), self.singleton(y))
+        return p
+
+    def opair(self, x, y) -> QSet:
+        # exact: opair_in(x, y, u) is opair_from of x's singleton and the pair of x and y
+        return algebra.opair_from(self.singleton(x), self.pair(x, y))
+
+    def family_union(self, index: Sequence[ElementDesc], entries: Sequence[QSet]) -> QSet:
+        """The union of the family taking ``index[i]`` to ``entries[i]``."""
+        # exact: union is associative, commutative and idempotent, so only the set of entries matters
+        key = frozenset(entries)
+        result = self._unions.get(key)
+        if result is None:
+            index_set = QSet((d, 1) for d in index)
+            family = algebra.IndexedFamily(index=index_set, entries=dict(zip(index, entries)))
+            result = self._unions[key] = algebra.family_union(family)
+        return result
 
 
 class MemberIndex:
@@ -201,23 +254,23 @@ def _find_opair(args, universe, index):
 CONSTRUCTORS = (
     Constructor("power", "cond1", 1, True, False, False,
                 lambda a, caps: "power-cap" if a[0].qcard > caps.power_qcard else None,
-                lambda a, u, caps: algebra.power(*a, cap=caps.power_qcard),
+                lambda a, parts, caps: algebra.power(*a, cap=caps.power_qcard),
                 _find_power),
     Constructor("singleton", "cond2", 1, False, False, True, _uncapped,
-                lambda a, u, caps: algebra.singleton_in(*a, u),
+                lambda a, parts, caps: parts.singleton(*a),
                 _find_singleton),
     Constructor("union", "theorem1", 2, True, True, False, _uncapped,
-                lambda a, u, caps: algebra.union(*a),
+                lambda a, parts, caps: algebra.union(*a),
                 _find_union),
     Constructor("product", "cond3", 2, True, False, False,
                 lambda a, caps: "product-cap" if a[0].qcard * a[1].qcard > caps.product_qcard else None,
-                lambda a, u, caps: algebra.product(*a, cap=caps.product_qcard),
+                lambda a, parts, caps: algebra.product(*a, cap=caps.product_qcard),
                 _find_product),
     Constructor("pair", "theorem1", 2, False, True, True, _uncapped,
-                lambda a, u, caps: algebra.pair_in(*a, u),
+                lambda a, parts, caps: parts.pair(*a),
                 _find_pair),
     Constructor("opair", "theorem1", 2, False, False, True, _uncapped,
-                lambda a, u, caps: algebra.opair_in(*a, u),
+                lambda a, parts, caps: parts.opair(*a),
                 _find_opair),
 )
 _BY_NAME = {row.name: row for row in CONSTRUCTORS}
@@ -352,6 +405,7 @@ def build_fragment(
     for r in range(1, depth + 1):
         ledger.append(LedgerEntry(op="round", count=r))
         snapshot = QSet(members.items())
+        parts = Parts(snapshot)
         ordered = [d for d, _ in snapshot.classes()]
         for row in CONSTRUCTORS:
             for args in row.operands(ordered):
@@ -365,7 +419,7 @@ def build_fragment(
                     else:
                         ledger.append(LedgerEntry(op=row.name, args=args, result=result))
                 else:
-                    result = row.apply(args, snapshot, caps)
+                    result = row.apply(args, parts, caps)
                     if result not in members:
                         members[result] = 1
                         if len(members) >= caps.max_members:
@@ -382,13 +436,13 @@ def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) 
     or args that do not match the constructor's arity.
     """
     members: dict[ElementDesc, int] = {}
-    snapshot = QSet()
+    parts = Parts(QSet())
     for entry in ledger:
         if entry.op == "seed":
             members[entry.result] = members.get(entry.result, 0) + entry.count
             continue
         if entry.op == "round":
-            snapshot = QSet(members.items())
+            parts = Parts(QSet(members.items()))
             continue
         row = _BY_NAME.get(entry.op)
         if row is None or len(entry.args) != row.arity:
@@ -397,7 +451,7 @@ def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) 
                 % (entry.op, len(entry.args))
             )
         if entry.cutoff is None:
-            result = row.apply(entry.args, snapshot, caps)
+            result = row.apply(entry.args, parts, caps)
             if result != entry.result:
                 raise ValueError(
                     "ledger replay diverged at %s: got %s, recorded %s"
@@ -479,10 +533,18 @@ def check_qED(
     ``max_families`` families) have their unions as members.  The
     derived constructions (union, unordered pair, ordered pair) are
     audited separately as the theorem-1 section.
+
+    The checks share one ``Parts`` for the audit: each member's class
+    singleton and each unordered member pair is built once, and feeds
+    the singleton, pair and opair checks alike; each family union is
+    built once per set of entries.  The universe is fixed while the audit
+    runs, so a shared part equals what building it again would give, and
+    the report is the same as if every check built its own.
     """
     universe = _as_universe(u)
     if universe.qcard == 0:
         raise EmptyUniverse("cannot audit an empty universe")
+    parts = Parts(universe)
     ordered = [d for d, _ in universe.classes()]
     defects: dict[str, list[Defect]] = {s: [] for s in SECTIONS}
     checked = dict.fromkeys(SECTIONS, 0)
@@ -500,7 +562,7 @@ def check_qED(
         if cutoff is not None:
             defects[section].append(Defect(section, row.name, args, None, note=cutoff))
             continue
-        result = row.apply(args, universe, caps)
+        result = row.apply(args, parts, caps)
         if universe.count(result) == 0:
             defects[section].append(Defect(section, row.name, args, result))
 
@@ -516,9 +578,7 @@ def check_qED(
     fam_iter = families()
     for combo, assignment in itertools.islice(fam_iter, max_families):
         checked["cond4"] += 1
-        index = QSet((d, 1) for d in combo)
-        fam = algebra.IndexedFamily(index=index, entries=dict(zip(combo, assignment)))
-        result = algebra.family_union(fam)
+        result = parts.family_union(combo, assignment)
         if universe.count(result) == 0:
             defects["cond4"].append(Defect("cond4", "family_union", tuple(combo) + tuple(assignment), result))
 

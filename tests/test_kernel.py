@@ -284,6 +284,26 @@ def test_separately_built_deep_pair_chains_compare():
     assert QSet([a]) != QSet([c])
 
 
+def _nesting(leaf, pairs, depth=1500):
+    """{...{leaf}...}, ``depth`` deep; with ``pairs`` every other level
+    holds the pair <inner, leaf> in place of inner."""
+    x = QSet([leaf])
+    for level in range(depth):
+        x = QSet([PrimPair(x, leaf) if pairs and level % 2 else x])
+    return x
+
+
+@pytest.mark.parametrize("pairs", [False, True], ids=["qsets", "qsets-and-pairs"])
+def test_separately_built_deep_nestings_compare(pairs):
+    # QSet equality walks nested quasi-sets and pairs with the same
+    # explicit stack as pair equality
+    a, b, c = _nesting(CAtom("a"), pairs), _nesting(CAtom("a"), pairs), _nesting(CAtom("b"), pairs)
+    assert a is not b
+    assert a == b
+    assert a != c
+    assert {a: 1}[b] == 1
+
+
 @pytest.mark.parametrize("value, attr", [
     (QSet([A1]), "text"),
     (QSet([A1]), "qcard"),

@@ -27,7 +27,7 @@ from qset import (
     is_small_category,
     replay_ledger,
 )
-from qset import algebra
+from qset import algebra, universe as universe_module
 from qset.gen import StructureGen
 
 K = Kind("K")
@@ -278,22 +278,35 @@ def test_results_past_the_member_cap_are_exact():
 
 
 def test_nothing_is_computed_past_the_member_cap(monkeypatch):
+    # A round's applications share parts, so one application can make
+    # several algebra calls or none.  Count the rows' applies instead,
+    # and require every algebra call to come from inside one.
     depth = [0]
-    calls = [0]
+    applies = [0]
+    outside = []
 
     def counting(fn):
-        def wrapped(*args, **kwargs):
-            calls[0] += depth[0] == 0
+        def wrapped(*args):
+            applies[0] += depth[0] == 0
             depth[0] += 1
             try:
-                return fn(*args, **kwargs)
+                return fn(*args)
             finally:
                 depth[0] -= 1
         return wrapped
 
+    def watched(name, fn):
+        def wrapped(*args, **kwargs):
+            if depth[0] == 0:
+                outside.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
     builds = _cap_builds()
-    for name in ("power", "singleton_in", "union", "product", "pair_in", "opair_in"):
-        monkeypatch.setattr(algebra, name, counting(getattr(algebra, name)))
+    rows = tuple(dataclasses.replace(row, apply=counting(row.apply)) for row in universe_module.CONSTRUCTORS)
+    monkeypatch.setattr(universe_module, "CONSTRUCTORS", rows)
+    for name in ("power", "singleton_in", "union", "product", "pair_in", "opair_in", "opair_from"):
+        monkeypatch.setattr(algebra, name, watched(name, getattr(algebra, name)))
     frags = [build_fragment(*b) for b in builds]
     monkeypatch.undo()
     total = 0
@@ -301,8 +314,9 @@ def test_nothing_is_computed_past_the_member_cap(monkeypatch):
         computed, after = _walk_past_the_cap(frag)
         total += computed
         assert after
-    # one top-level constructor call per application before the cap filled
-    assert calls[0] == total
+    # one apply per application before the cap filled, no value built after it
+    assert applies[0] == total
+    assert outside == []
 
 
 # sha256 of fixed fragment documents: looking results up past the member
@@ -335,6 +349,60 @@ def test_fragment_documents_are_pinned(seeds, depth, caps, digest):
 
 
 # -- closure audit -------------------------------------------------------
+
+
+# sha256 of fixed audit reports: sharing parts within an audit must leave
+# every byte of the report as building each part per check did.  Every
+# report has collapsed opairs <x, x>.  No report is free of theorem-1
+# defects: pair(x, x) of a deepest member x is deeper than every member.
+REPORT_PINS = [
+    # the cond4 sweep stops at its 200-family budget
+    ([A1, A2, A3, A4] + [qs((K, n)) for n in range(1, 5)] + [qs((J, 1))], 0, BuildCaps(),
+     "900ac144ede97f20916c782ce49d3cb40e6695ba27cbc4880f5798b0f60650a9"),
+    # power-cap and product-cap notes
+    ([QSet([(K, 3)]), CAtom("a")], 2, BuildCaps(max_members=40, power_qcard=2, product_qcard=6),
+     "07e36cc8c80810f8163df62f3ed12bb62a810d58c4971dde202f45f93e9424c1"),
+    # both notes on a fragment whose member cap filled
+    ([qs((K, 2))], 3, BuildCaps(max_members=24, power_qcard=3, product_qcard=20),
+     "358ed9d9d5b3698bc8e64851e9f2c8950ae182cffa61a5c5dac8ac0e2dee7484"),
+    # kinds counted above 1, so singletons and pairs with counts above 1
+    (QSet([(K, 2), qs((K, 2)), (J, 3), A1, qs((K, 1), (J, 2))]), 0, BuildCaps(),
+     "5533ac714bff5ac2ffd2565f2942433609cb9fe881674be85157763f0b23c375"),
+    # no theorem-1 defects among the members a round was run on
+    ([A1], 2, BuildCaps(max_members=4000),
+     "f3d4d14119d9f9811bbdbc22d1cdb26f88946ff10ea7c074d9aa0c7848855173"),
+    # one member: the only theorem-1 defects are its pair and collapsed opair
+    ([A1], 0, BuildCaps(),
+     "4b1c7ca007e78213a9d9a82d210be7de03786f6dfc65204a5351d968ab01c376"),
+]
+
+
+@pytest.mark.parametrize("seeds, depth, caps, digest", REPORT_PINS)
+def test_audit_reports_are_pinned(seeds, depth, caps, digest):
+    frag = build_fragment(seeds, depth, caps)
+    report = check_qED(frag, caps=frag.caps)
+    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == digest
+
+
+def test_audit_builds_each_part_once(monkeypatch):
+    singletons = []
+    unions = []
+
+    def recording(calls, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    frag = build_fragment([qs((K, 1)), qs((J, 2)), A1, A2], 1)
+    monkeypatch.setattr(algebra, "singleton_in", recording(singletons, algebra.singleton_in))
+    monkeypatch.setattr(algebra, "family_union", recording(unions, algebra.family_union))
+    report = check_qED(frag, caps=frag.caps)
+    monkeypatch.undo()
+    assert report.theorem1 and report.totals["cond4_checked"] > 0
+    assert len(singletons) <= frag.elements.distinct_classes()
+    entry_sets = [frozenset(family.entries.values()) for (family,) in unions]
+    assert len(entry_sets) == len(set(entry_sets))
 
 
 def test_audit_rejects_empty_universe():
