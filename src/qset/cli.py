@@ -16,7 +16,7 @@ import sys
 from .errors import ParseError, QsetError
 from .gen import StructureGen
 from .lang.eval import Outcome, Session, render, run_program, run_statements
-from .lang.lexer import Span, tokenize
+from .lang.lexer import LineTable, Span, tokenize
 from .lang.parser import parse
 from .morphism import LawReport, check_category_laws
 from .universe import SECTIONS, BuildCaps, ClosureReport, Fragment, check_qED
@@ -111,10 +111,11 @@ def _diagnostic(source: str, path: str, err: QsetError, stream=None) -> None:
     if span is None:
         stream.write("%s: %s: %s\n" % (path, label, err.message))
         return
-    line, col = span.line_col(source)
+    lines = LineTable(source)
+    line, col = span.line_col(lines)
     stream.write("%s:%d:%d: %s: %s\n" % (path, line, col, label, err.message))
     data = source.encode("utf-8")
-    bol = data.rfind(b"\n", 0, span.start) + 1
+    bol = lines.starts[line - 1]
     eol = data.find(b"\n", bol)
     if eol < 0:
         eol = len(data)
@@ -172,11 +173,12 @@ def _run_eval(args) -> int:
         return loaded
     source, session, outcomes = loaded
     passed, failed = _check_totals(session)
+    lines = LineTable(source)
 
     if args.format == "json":
         results = []
         for out in outcomes:
-            line, _ = out.span.line_col(source) if out.span else (0, 0)
+            line, _ = out.span.line_col(lines) if out.span else (0, 0)
             if out.kind == "value":
                 results.append({"line": line, "kind": "value", "value": _json_value(out.value)})
             elif out.kind == "check":
@@ -192,7 +194,7 @@ def _run_eval(args) -> int:
             if out.kind == "value":
                 print(render(out.value))
             elif out.kind == "check" and not out.check.passed:
-                line, col = out.check.span.line_col(source)
+                line, col = out.check.span.line_col(lines)
                 print("check failed at %s:%d:%d" % (args.path, line, col))
         if session.checks:
             print("checks: %d passed, %d failed" % (passed, failed))

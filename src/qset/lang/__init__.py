@@ -5,7 +5,7 @@ program can observe a label; atom names always mean "an atom of this
 kind" and literal counts say how many go in.
 """
 
-from .lexer import Span, Token, tokenize
+from .lexer import LineTable, Span, Token, tokenize
 from .parser import (
     App,
     CAtomDecl,
@@ -23,6 +23,7 @@ from .parser import (
 from .eval import Session, evaluate, render, run_program
 
 __all__ = [
+    "LineTable",
     "Span",
     "Token",
     "tokenize",

@@ -7,11 +7,12 @@ outside it is rejected at its exact offset.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from ..errors import LexError
 
-__all__ = ["Span", "Token", "tokenize", "KEYWORDS"]
+__all__ = ["LineTable", "Span", "Token", "tokenize", "KEYWORDS"]
 
 KEYWORDS = frozenset({"kind", "matoms", "catom", "let", "check"})
 
@@ -22,16 +23,34 @@ _DIGITS = frozenset(b"0123456789")
 _WS = frozenset(b" \t\r\n")
 
 
+class LineTable:
+    """The byte offset at which each line of a source starts.
+
+    Build one per source and pass it to every ``Span.line_col`` on that
+    source: each lookup is a bisection, so locating every span of a
+    source costs time linear in the source, not quadratic.
+    """
+
+    __slots__ = ("starts",)
+
+    def __init__(self, source: str):
+        data = source.encode("utf-8")
+        self.starts = [0]
+        i = data.find(b"\n")
+        while i >= 0:
+            self.starts.append(i + 1)
+            i = data.find(b"\n", i + 1)
+
+
 @dataclass(frozen=True)
 class Span:
     start: int
     end: int
 
-    def line_col(self, source: str) -> tuple[int, int]:
-        prefix = source.encode("utf-8")[: self.start]
-        line = prefix.count(b"\n") + 1
-        col = self.start - (prefix.rfind(b"\n") + 1) + 1
-        return line, col
+    def line_col(self, lines: LineTable) -> tuple[int, int]:
+        """The 1-based line and byte column of the span's start."""
+        line = bisect.bisect_right(lines.starts, self.start)
+        return line, self.start - lines.starts[line - 1] + 1
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ module works with finite fragments: start from seed elements and apply
 the constructors for a fixed number of rounds, under explicit caps.
 Every step lands in a ledger that can be replayed to reproduce the
 fragment's exact element multiset, and every place a cap bit is
-recorded as a cutoff rather than silently dropped.
+recorded as a cutoff rather than silently dropped: a power or product
+cap refusal as one entry, the member cap's misses as one count per
+round and constructor, which replay recounts.
 
 ``check_qED`` audits how far a fragment is from being closed: for each
 closure condition it records the member combinations whose required
@@ -273,10 +275,12 @@ CONSTRUCTORS = (
                 lambda a, parts, caps: parts.opair(*a),
                 _find_opair),
 )
-_BY_NAME = {row.name: row for row in CONSTRUCTORS}
+_POSITION = {row.name: i for i, row in enumerate(CONSTRUCTORS)}
 
 # Audit sections in report order; cond4 (family union) has no row.
 SECTIONS = ("cond1", "cond2", "cond3", "cond4", "theorem1")
+
+MEMBER_CAP = "member-cap"
 
 
 @dataclass(frozen=True)
@@ -286,6 +290,11 @@ class LedgerEntry:
     op is "seed", "round", or a constructor name.  For "round" the
     count field holds the round number; for "seed" it holds the seeded
     multiplicity.  A cutoff entry records why a result was not added.
+    The caps' ``power-cap`` and ``product-cap`` refusals are listed one
+    by one with their args; they are few, and each names the operands
+    that were too large.  The ``member-cap`` misses of one constructor
+    in one round are a single summary entry, with no args and the number
+    of misses in count, after that constructor's listed entries.
     """
 
     op: str
@@ -298,6 +307,10 @@ class LedgerEntry:
         d: dict = {"op": self.op}
         if self.op == "round":
             d["round"] = self.count
+            return d
+        if self.cutoff == MEMBER_CAP:
+            d["cutoff"] = self.cutoff
+            d["count"] = self.count
             return d
         if self.args:
             d["args"] = [canonical_text(a) for a in self.args]
@@ -352,7 +365,7 @@ class Fragment:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "qset/1",
+            "schema": "qset/2",
             "elements": [[canonical_text(d), n] for d, n in self.elements.classes()],
             "rank": {canonical_text(d): r for d, r in self.rank.items()},
             "depth": self.depth,
@@ -384,8 +397,9 @@ def build_fragment(
 
     Once the member cap is full the members are final, so results past
     it are looked up, not computed: each row's ``find`` returns the equal
-    member, logged as a duplicate, or None, logged as a ``member-cap``
-    cutoff.  The ledger is the same as if every result were built.
+    member, listed as a duplicate, or None, a miss.  A row's misses in
+    one round are not listed: one ``member-cap`` summary entry after the
+    row's listed entries of the round counts them.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -408,6 +422,7 @@ def build_fragment(
         parts = Parts(snapshot)
         ordered = [d for d, _ in snapshot.classes()]
         for row in CONSTRUCTORS:
+            misses = 0
             for args in row.operands(ordered):
                 cutoff = row.cap(args, caps)
                 if cutoff is not None:
@@ -415,7 +430,7 @@ def build_fragment(
                 elif index is not None:
                     result = row.find(args, snapshot, index)
                     if result is None:
-                        ledger.append(LedgerEntry(op=row.name, args=args, cutoff="member-cap"))
+                        misses += 1
                     else:
                         ledger.append(LedgerEntry(op=row.name, args=args, result=result))
                 else:
@@ -425,39 +440,116 @@ def build_fragment(
                         if len(members) >= caps.max_members:
                             index = MemberIndex(members)
                     ledger.append(LedgerEntry(op=row.name, args=args, result=result))
+            if misses:
+                ledger.append(LedgerEntry(op=row.name, count=misses, cutoff=MEMBER_CAP))
 
     return Fragment(elements=QSet(members.items()), ledger=tuple(ledger), caps=caps, depth=depth)
+
+
+def _recount(rnd: int, universe: QSet, index: MemberIndex, summaries: dict, caps: BuildCaps):
+    """Check one round's member-cap summaries against the misses ``find`` recounts."""
+    ordered = [d for d, _ in universe.classes()]
+    for row in CONSTRUCTORS:
+        misses = sum(
+            1 for args in row.operands(ordered)
+            if row.cap(args, caps) is None and row.find(args, universe, index) is None
+        )
+        if misses != summaries.get(row.name, 0):
+            raise ValueError(
+                "ledger replay diverged in round %d at %s: %d member-cap misses, recorded %d"
+                % (rnd, row.name, misses, summaries.get(row.name, 0))
+            )
 
 
 def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) -> QSet:
     """Re-run a ledger and return the element multiset it reconstructs.
 
-    Any divergence raises ValueError, including an op no constructor has
-    or args that do not match the constructor's arity.
+    Listed results are rebuilt with their row's ``apply``.  Cutoffs are
+    checked, not trusted.  A listed ``power-cap`` or ``product-cap``
+    entry must be the reason the row's ``cap`` gives for its args.  Once
+    the members reach ``caps.max_members``, replay indexes them as build
+    does, and at the end of each round recounts every row's member-cap
+    misses: the operand tuples that the caps pass and ``find`` answers
+    with None.  That count must equal the row's summary entry, or be 0
+    where the row has none.  The recount sweeps whole rows: a tuple
+    before the point where the cap filled counts nothing, because its
+    result was listed and added, so ``find`` answers it.
+
+    Any divergence raises ValueError: a result that differs, an op no
+    constructor has, args that do not match its arity, a round's entries
+    out of table order, a result added past the member cap, a refusal the
+    caps do not give, and a summary that is wrong, missing, extra or
+    misplaced.
     """
     members: dict[ElementDesc, int] = {}
     parts = Parts(QSet())
+    index: MemberIndex | None = None
+    summaries: dict[str, int] = {}
+    rnd = pos = 0
+    closed = False  # whether the row at pos has had its summary
     for entry in ledger:
         if entry.op == "seed":
             members[entry.result] = members.get(entry.result, 0) + entry.count
             continue
         if entry.op == "round":
+            if index is not None:
+                _recount(rnd, parts.universe, index, summaries, caps)
+            rnd += 1
             parts = Parts(QSet(members.items()))
+            if index is None and len(members) >= caps.max_members:
+                index = MemberIndex(members)
+            summaries, pos, closed = {}, 0, False
             continue
-        row = _BY_NAME.get(entry.op)
-        if row is None or len(entry.args) != row.arity:
+        i = _POSITION.get(entry.op)
+        summary = entry.cutoff == MEMBER_CAP
+        if i is None or len(entry.args) != (0 if summary else CONSTRUCTORS[i].arity):
             raise ValueError(
-                "ledger replay diverged at %s with %d args: no such constructor"
-                % (entry.op, len(entry.args))
+                "ledger replay diverged at %s%s with %d args: no such entry"
+                % (entry.op, " member-cap summary" if summary else "", len(entry.args))
             )
-        if entry.cutoff is None:
-            result = row.apply(entry.args, parts, caps)
-            if result != entry.result:
+        row = CONSTRUCTORS[i]
+        if i < pos or (i == pos and closed):
+            raise ValueError(
+                "ledger replay diverged in round %d at %s: out of table order" % (rnd, entry.op)
+            )
+        if i > pos:
+            pos, closed = i, False
+        if summary:
+            if index is None or entry.count < 1 or entry.result is not None:
+                where = "before the cap filled" if index is None else "misses"
                 raise ValueError(
-                    "ledger replay diverged at %s: got %s, recorded %s"
-                    % (entry.op, result.text, canonical_text(entry.result))
+                    "ledger replay diverged in round %d at %s: a member-cap summary of %d %s"
+                    % (rnd, entry.op, entry.count, where)
                 )
-            members.setdefault(result, 1)
+            summaries[entry.op] = entry.count
+            closed = True
+            continue
+        refusal = row.cap(entry.args, caps)
+        if refusal != entry.cutoff:
+            raise ValueError(
+                "ledger replay diverged in round %d at %s: the caps give %s, recorded %s"
+                % (rnd, entry.op, refusal, entry.cutoff)
+            )
+        if refusal is not None:
+            continue
+        result = row.apply(entry.args, parts, caps)
+        if result != entry.result:
+            raise ValueError(
+                "ledger replay diverged at %s: got %s, recorded %s"
+                % (entry.op, result.text, canonical_text(entry.result))
+            )
+        if result in members:
+            continue
+        if index is not None:
+            raise ValueError(
+                "ledger replay diverged at %s: %s added past the member cap"
+                % (entry.op, result.text)
+            )
+        members[result] = 1
+        if len(members) >= caps.max_members:
+            index = MemberIndex(members)
+    if index is not None:
+        _recount(rnd, parts.universe, index, summaries, caps)
     return QSet(members.items())
 
 

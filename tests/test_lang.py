@@ -23,6 +23,7 @@ from qset.lang import (
     IntLit,
     KindDecl,
     LetStmt,
+    LineTable,
     MAtomsDecl,
     Name,
     QSetLit,
@@ -107,7 +108,30 @@ def test_line_col_is_one_based():
     src = "a\nbb\n c"
     toks = tokenize(src)
     assert toks[-2].text == "c"
-    assert toks[-2].span.line_col(src) == (3, 2)
+    assert toks[-2].span.line_col(LineTable(src)) == (3, 2)
+
+
+def test_line_col_matches_the_byte_prefix_at_every_token():
+    # non-ASCII text in comments shifts byte offsets away from characters
+    src = (
+        "# café, ünïcode\n"
+        "kind K   # ∀x ∈ K\n"
+        "matoms k: K^2\n"
+        "\n"
+        "  let x = {k, k}  # 日本語\n"
+        "check eq(qc(x), 2)  # é\n"
+        "# ☃\n"
+        "\tqc(x)"
+    )
+    lines = LineTable(src)
+    data = src.encode("utf-8")
+    tokens = tokenize(src)
+    assert len(tokens) > 30
+    for tok in tokens:
+        prefix = data[: tok.span.start]
+        expected = (prefix.count(b"\n") + 1, tok.span.start - (prefix.rfind(b"\n") + 1) + 1)
+        assert tok.span.line_col(lines) == expected, tok
+    assert tokens[-2].span.line_col(lines) == (8, 6)
 
 
 def test_eof_token_sits_at_end():
@@ -413,7 +437,7 @@ def test_error_spans_locate_the_line():
     src = "kind J\nmatoms j: J^2\ncheck qc({j^5})\n"
     with pytest.raises(EvalError) as err:
         run_program(src, Session())
-    assert err.value.span.line_col(src) == (3, 10)
+    assert err.value.span.line_col(LineTable(src)) == (3, 10)
 
 
 def test_outcome_kinds():

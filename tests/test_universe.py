@@ -27,7 +27,7 @@ from qset import (
     is_small_category,
     replay_ledger,
 )
-from qset import algebra, universe as universe_module
+from qset import algebra, canonical_text, universe as universe_module
 from qset.gen import StructureGen
 
 K = Kind("K")
@@ -117,6 +117,22 @@ def test_rank_is_hereditary_depth():
             assert frag.rank[desc] == 0
 
 
+def _qsets(members):
+    return [d for d in members if isinstance(d, QSet)]
+
+
+# Each round's operand tuples per constructor, in build order: operands
+# in canonical member order, first operand outermost.
+OPERANDS = {
+    "power": lambda ms: [(a,) for a in _qsets(ms)],
+    "singleton": lambda ms: [(a,) for a in ms],
+    "union": lambda ms: list(itertools.combinations_with_replacement(_qsets(ms), 2)),
+    "product": lambda ms: list(itertools.product(_qsets(ms), repeat=2)),
+    "pair": lambda ms: list(itertools.combinations_with_replacement(ms, 2)),
+    "opair": lambda ms: list(itertools.product(ms, repeat=2)),
+}
+
+
 def test_round_ops_run_in_table_order():
     # Recomputes round 1's applications from the seeds: each constructor
     # in turn, operands in canonical member order, first operand outermost.
@@ -124,15 +140,7 @@ def test_round_ops_run_in_table_order():
     seeds = QSet([x, y, A1])
     frag = build_fragment(seeds, depth=2, caps=BuildCaps(max_members=400))
     ordered = [d for d, _ in seeds.classes()]
-    qsets = [d for d in ordered if isinstance(d, QSet)]
-    expected = (
-        [("power", (a,)) for a in qsets]
-        + [("singleton", (a,)) for a in ordered]
-        + [("union", p) for p in itertools.combinations_with_replacement(qsets, 2)]
-        + [("product", p) for p in itertools.product(qsets, qsets)]
-        + [("pair", p) for p in itertools.combinations_with_replacement(ordered, 2)]
-        + [("opair", p) for p in itertools.product(ordered, ordered)]
-    )
+    expected = [(op, p) for op, operands in OPERANDS.items() for p in operands(ordered)]
     rounds = [[]]
     for entry in frag.ledger:
         if entry.op == "round":
@@ -235,46 +243,96 @@ def _cap_builds():
     return builds
 
 
-def _walk_past_the_cap(frag):
-    """Count the applications computed before the member cap filled, and
-    list (entry, universe) for every application after it."""
-    members = {}
-    snapshot = QSet()
-    computed = 0
-    after = []
-    for entry in frag.ledger:
-        if entry.op == "seed":
-            members[entry.result] = entry.count
-        elif entry.op == "round":
-            snapshot = QSet(members.items())
-        elif len(members) >= frag.caps.max_members:
-            after.append((entry, snapshot))
-        elif entry.cutoff is None:
-            computed += 1
-            members.setdefault(entry.result, 1)
+def _rounds(ledger):
+    """The seed entries, then each round's entries grouped by op.
+
+    Asserts that a round lists each op's entries together, in table order.
+    """
+    rounds = [[]]
+    for entry in ledger:
+        if entry.op == "round":
+            rounds.append({})
+        elif len(rounds) == 1:
+            assert entry.op == "seed"
+            rounds[0].append(entry)
         else:
-            assert entry.cutoff in ("power-cap", "product-cap")
-    return computed, after
+            groups = rounds[-1]
+            assert entry.op in OPERANDS and (entry.op not in groups or list(groups)[-1] == entry.op)
+            groups.setdefault(entry.op, []).append(entry)
+    for groups in rounds[1:]:
+        assert list(groups) == [op for op in OPERANDS if op in groups]
+    return rounds
+
+
+def _walk_past_the_cap(frag):
+    """Re-derive every round of ``frag`` straight from qset.algebra.
+
+    Each operand tuple of each round is recomputed.  A result the caps
+    refuse must be listed as their cutoff.  Before the member cap fills,
+    every result must be listed; past it, a member must be listed as a
+    duplicate and anything else is a miss, not listed, and the one
+    ``member-cap`` summary after the op's listed entries counts the
+    misses.  Returns the number of applications before the cap filled;
+    per op, [duplicates, misses] past it; and the ledger with each miss
+    listed in its place, as a ``member-cap`` entry with args.
+    """
+    caps = frag.caps
+    seeds, *rounds = _rounds(frag.ledger)
+    members = {e.result: e.count for e in seeds}
+    computed = 0
+    found = {op: [0, 0] for op in OPERANDS}
+    expanded = list(seeds)
+    for r, groups in enumerate(rounds, 1):
+        expanded.append(LedgerEntry(op="round", count=r))
+        universe = QSet(members.items())
+        ordered = [d for d, _ in universe.classes()]
+        for op, operands in OPERANDS.items():
+            listed = groups.get(op, [])
+            counted = 0
+            if listed and listed[-1].cutoff == "member-cap":
+                summary = listed.pop()
+                assert summary.args == () and summary.result is None
+                counted = summary.count
+            listed = iter(listed)
+            misses = 0
+            for args in operands(ordered):
+                try:
+                    result = RECOMPUTE[op](args, universe, caps)
+                except CapExceeded:
+                    entry = next(listed)
+                    assert (entry.args, entry.result, entry.cutoff) == (args, None, op + "-cap")
+                    expanded.append(entry)
+                    continue
+                if len(members) < caps.max_members:
+                    computed += 1
+                    members.setdefault(result, 1)
+                elif result not in members:
+                    assert frag.elements.count(result) == 0, (op, result.text)
+                    misses += 1
+                    expanded.append(LedgerEntry(op=op, args=args, cutoff="member-cap"))
+                    continue
+                else:
+                    found[op][0] += 1
+                entry = next(listed)
+                assert (entry.args, entry.cutoff) == (args, None)
+                assert entry.result == result, (op, result.text)
+                expanded.append(entry)
+            assert next(listed, None) is None
+            assert counted == misses, (op, counted, misses)
+            found[op][1] += misses
+    assert QSet(members.items()) == frag.elements
+    return computed, found, expanded
 
 
 def test_results_past_the_member_cap_are_exact():
-    found = {op: [0, 0] for op in RECOMPUTE}  # op -> [duplicates, cutoffs]
+    found = {op: [0, 0] for op in RECOMPUTE}  # op -> [duplicates, misses]
     for frag in [build_fragment(*b) for b in _cap_builds()]:
-        _, after = _walk_past_the_cap(frag)
-        for entry, universe in after:
-            if entry.cutoff in ("power-cap", "product-cap"):
-                continue
-            result = RECOMPUTE[entry.op](entry.args, universe, frag.caps)
-            if entry.cutoff == "member-cap":
-                assert frag.elements.count(result) == 0, (entry.op, result.text)
-                found[entry.op][1] += 1
-            else:
-                assert entry.cutoff is None
-                assert entry.result == result, (entry.op, result.text)
-                assert frag.elements.count(entry.result) > 0
-                found[entry.op][0] += 1
-    for op, (dups, cuts) in found.items():
-        assert dups > 0 and cuts > 0, (op, dups, cuts)
+        _, past, _ = _walk_past_the_cap(frag)
+        for op, (dups, misses) in past.items():
+            found[op][0] += dups
+            found[op][1] += misses
+    for op, (dups, misses) in found.items():
+        assert dups > 0 and misses > 0, (op, dups, misses)
 
 
 def test_nothing_is_computed_past_the_member_cap(monkeypatch):
@@ -311,16 +369,17 @@ def test_nothing_is_computed_past_the_member_cap(monkeypatch):
     monkeypatch.undo()
     total = 0
     for frag in frags:
-        computed, after = _walk_past_the_cap(frag)
+        computed, past, _ = _walk_past_the_cap(frag)
         total += computed
-        assert after
+        assert any(dups + misses for dups, misses in past.values())
     # one apply per application before the cap filled, no value built after it
     assert applies[0] == total
     assert outside == []
 
 
-# sha256 of fixed fragment documents: looking results up past the member
-# cap must leave every byte of the ledger as building them did.
+# sha256 of fixed qset/1 fragment documents, recorded when every
+# member-cap miss was listed with its args.  Looking results up past the
+# member cap left every byte of them as building the results did.
 LEDGER_PINS = [
     # member cap filled in round 2
     ([CAtom("a"), CAtom("b")], 2, BuildCaps(max_members=12),
@@ -341,11 +400,247 @@ LEDGER_PINS = [
      "dd3d594f3a4b4ff9628bec11e073c8e6a06282c1af1a2cf8fe9d0f95dfb5a17c"),
 ]
 
+# sha256 of the qset/2 documents of the LEDGER_PINS builds, in order.
+QSET2_PINS = [
+    "ebe0814e0786ce12e5b265d4b2e978b66b5208ef058a686126a4db1709a1e8eb",
+    "a9a586d75d53e995cb9e2ff920f5f970f298f0b8a28e7489c8c0d388f49c4f31",
+    "7e9fb9ea917fc898187486bc106655d00b749de93511c64f6350064205602f6b",
+    "a23c72090d797c33cf4910f003d835774426870543fe67a64952051ed2a7e8b2",
+    "fe7cd51c6310f1f1178980ee808d0cc27c47e2131d6b4ae71ca221899813ca9f",
+    "94ca11556de03d8b8b2c091767a2700813181acc3f32704841a546c6beed2adb",
+]
+
+# The member-cap cutoffs per (round, op) that the qset/1 ledgers of the
+# _cap_builds() and LEDGER_PINS builds listed one by one.
+QSET1_MEMBER_CAP = [
+    # _cap_builds()
+    {(1, "union"): 1, (1, "product"): 4, (1, "pair"): 3, (1, "opair"): 9, (2, "power"): 5,
+     (2, "singleton"): 5, (2, "union"): 19, (2, "product"): 49, (2, "pair"): 33,
+     (2, "opair"): 64},
+    {(1, "opair"): 1, (2, "power"): 6, (2, "singleton"): 5, (2, "union"): 11,
+     (2, "product"): 36, (2, "pair"): 30, (2, "opair"): 61, (3, "power"): 6,
+     (3, "singleton"): 5, (3, "union"): 11, (3, "product"): 36, (3, "pair"): 30,
+     (3, "opair"): 61},
+    {(2, "power"): 4, (2, "singleton"): 6, (2, "union"): 21, (2, "product"): 63,
+     (2, "pair"): 39, (2, "opair"): 77},
+    {(2, "power"): 6, (2, "singleton"): 6, (2, "union"): 20, (2, "product"): 64,
+     (2, "pair"): 48, (2, "opair"): 96, (3, "power"): 7, (3, "singleton"): 8, (3, "union"): 29,
+     (3, "product"): 100, (3, "pair"): 71, (3, "opair"): 140},
+    {(1, "opair"): 4, (2, "power"): 13, (2, "singleton"): 11, (2, "union"): 72,
+     (2, "product"): 195, (2, "pair"): 124, (2, "opair"): 251},
+    {(2, "singleton"): 6, (2, "union"): 21, (2, "product"): 63, (2, "pair"): 39,
+     (2, "opair"): 77, (3, "power"): 7, (3, "singleton"): 13, (3, "union"): 85,
+     (3, "product"): 224, (3, "pair"): 130, (3, "opair"): 252},
+    {(1, "opair"): 5, (2, "power"): 15, (2, "singleton"): 16, (2, "union"): 152,
+     (2, "product"): 357, (2, "pair"): 200, (2, "opair"): 396},
+    {(2, "singleton"): 1, (2, "union"): 14, (2, "product"): 49, (2, "pair"): 30,
+     (2, "opair"): 76, (3, "power"): 11, (3, "singleton"): 12, (3, "union"): 117,
+     (3, "product"): 324, (3, "pair"): 195, (3, "opair"): 395},
+    {(2, "union"): 11, (2, "product"): 49, (2, "pair"): 29, (2, "opair"): 75},
+    {(2, "power"): 13, (2, "singleton"): 15, (2, "union"): 149, (2, "product"): 360,
+     (2, "pair"): 216, (2, "opair"): 432, (3, "power"): 15, (3, "singleton"): 18,
+     (3, "union"): 194, (3, "product"): 483, (3, "pair"): 285, (3, "opair"): 567},
+    {(3, "union"): 142, (3, "product"): 355, (3, "pair"): 181, (3, "opair"): 390},
+    {(3, "union"): 139, (3, "product"): 355, (3, "pair"): 181, (3, "opair"): 390},
+    {(3, "union"): 139, (3, "product"): 355, (3, "pair"): 181, (3, "opair"): 390},
+    {(3, "union"): 99, (3, "product"): 283, (3, "pair"): 138, (3, "opair"): 314},
+    {(1, "product"): 7, (1, "pair"): 3, (1, "opair"): 9, (2, "power"): 10,
+     (2, "singleton"): 10, (2, "union"): 63, (2, "product"): 167, (2, "pair"): 88,
+     (2, "opair"): 169},
+    # LEDGER_PINS
+    {(2, "power"): 4, (2, "singleton"): 5, (2, "union"): 16, (2, "product"): 49,
+     (2, "pair"): 38, (2, "opair"): 77},
+    {(3, "union"): 139, (3, "product"): 355, (3, "pair"): 181, (3, "opair"): 390},
+    {(3, "union"): 99, (3, "product"): 283, (3, "pair"): 138, (3, "opair"): 314},
+    {(2, "union"): 2, (2, "product"): 63, (2, "pair"): 30, (2, "opair"): 75},
+    {(2, "product"): 19, (2, "pair"): 9, (2, "opair"): 23, (3, "power"): 8,
+     (3, "singleton"): 19, (3, "union"): 234, (3, "product"): 409, (3, "pair"): 294,
+     (3, "opair"): 574},
+    {(1, "power"): 1, (1, "singleton"): 3, (1, "product"): 1, (1, "pair"): 6, (1, "opair"): 9,
+     (2, "power"): 1, (2, "singleton"): 3, (2, "product"): 1, (2, "pair"): 6, (2, "opair"): 9},
+]
+
+
+def _gated_builds():
+    return _cap_builds() + [pin[:3] for pin in LEDGER_PINS]
+
+
+def _member_cap_counts(frag):
+    counts = {}
+    r = 0
+    for entry in frag.ledger:
+        if entry.op == "round":
+            r += 1
+        elif entry.cutoff == "member-cap":
+            assert (r, entry.op) not in counts and entry.args == ()
+            counts[r, entry.op] = entry.count
+    return counts
+
+
+def _qset1_json(frag):
+    """The fragment's document as qset/1 wrote it: each summary expanded
+    back into the misses it counts, recomputed from qset.algebra."""
+    _, _, expanded = _walk_past_the_cap(frag)
+    ledger = [
+        {"op": e.op, "args": [canonical_text(a) for a in e.args], "cutoff": e.cutoff}
+        if e.cutoff == "member-cap" else e.to_dict()
+        for e in expanded
+    ]
+    return json.dumps(dict(frag.to_dict(), schema="qset/1", ledger=ledger), indent=2)
+
 
 @pytest.mark.parametrize("seeds, depth, caps, digest", LEDGER_PINS)
 def test_fragment_documents_are_pinned(seeds, depth, caps, digest):
     frag = build_fragment(seeds, depth, caps)
+    assert hashlib.sha256(_qset1_json(frag).encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case, digest", enumerate(QSET2_PINS))
+def test_qset2_fragment_documents_are_pinned(case, digest):
+    frag = build_fragment(*LEDGER_PINS[case][:3])
     assert hashlib.sha256(frag.to_json().encode("utf-8")).hexdigest() == digest
+
+
+def test_qset2_builds_replay_to_their_elements():
+    for seeds, depth, caps in _gated_builds():
+        frag = build_fragment(seeds, depth, caps)
+        assert replay_ledger(frag.ledger, caps) == frag.elements
+
+
+def test_member_cap_counts_equal_the_qset1_cutoffs():
+    counts = [_member_cap_counts(build_fragment(*b)) for b in _gated_builds()]
+    assert counts == QSET1_MEMBER_CAP
+
+
+# -- tampered cutoffs -------------------------------------------------------
+
+
+def _tamper_with_summaries(how, ledger):
+    """``ledger`` with one of its member-cap summaries changed by ``how``,
+    or None where ``how`` does not apply."""
+    ledger = list(ledger)
+    summaries = [i for i, e in enumerate(ledger) if e.cutoff == "member-cap"]
+    i = summaries[len(summaries) // 2]
+    if how == "moved to the next round":
+        last_round = max(j for j, e in enumerate(ledger) if e.op == "round")
+        if summaries[0] > last_round:
+            return None
+        i = summaries[0]
+    entry = ledger[i]
+    if how == "count+1":
+        ledger[i] = dataclasses.replace(entry, count=entry.count + 1)
+    elif how == "count-1":
+        i = next(i for i in summaries if ledger[i].count > 1)
+        ledger[i] = dataclasses.replace(ledger[i], count=ledger[i].count - 1)
+    elif how == "count 0":
+        ledger[i] = dataclasses.replace(entry, count=0)
+    elif how == "dropped":
+        del ledger[i]
+    elif how == "duplicated":
+        ledger.insert(i, entry)
+    elif how == "relabelled":
+        # claims the misses of the next row in the table
+        ops = [row.name for row in universe_module.CONSTRUCTORS]
+        ledger[i] = dataclasses.replace(entry, op=ops[ops.index(entry.op) + 1])
+    elif how == "moved to the next row":
+        del ledger[i]
+        j = next(j for j in range(i, len(ledger)) if ledger[j].op not in (entry.op, "round"))
+        ledger.insert(j + 1, entry)
+    elif how == "moved to the next round":
+        del ledger[i]
+        j = next(j for j in range(i, len(ledger)) if ledger[j].op == "round")
+        k = next(k for k in range(j, len(ledger)) if ledger[k].op == entry.op)
+        ledger.insert(k, entry)
+    elif how == "added before the cap fills":
+        first_round = next(j for j, e in enumerate(ledger) if e.op == "round")
+        ledger.insert(first_round + 1, LedgerEntry(op="power", count=1, cutoff="member-cap"))
+    elif how == "listed with args":
+        ledger[i] = dataclasses.replace(entry, args=(QSet(),), count=1)
+    return ledger
+
+
+TAMPERS = [
+    "count+1", "count-1", "count 0", "dropped", "duplicated", "relabelled",
+    "moved to the next row", "moved to the next round", "added before the cap fills",
+    "listed with args",
+]
+
+
+@pytest.mark.parametrize("how", TAMPERS)
+def test_replay_rejects_tampered_member_cap_counts(how):
+    # the deep-build shape fills its cap in round 3 of 3; {m_K^2} fills
+    # it in round 2 of 3, so it has a whole round past the fill point
+    tampered_any = False
+    for seeds, depth, caps, _ in (LEDGER_PINS[1], LEDGER_PINS[4]):
+        frag = build_fragment(seeds, depth, caps)
+        tampered = _tamper_with_summaries(how, frag.ledger)
+        if tampered is None:
+            continue
+        assert tampered != list(frag.ledger)
+        with pytest.raises(ValueError):
+            replay_ledger(tampered, caps)
+        tampered_any = True
+    assert tampered_any
+
+
+def test_replay_rejects_a_summary_before_the_fill_point():
+    # the row whose listed entry fills the cap: its summary must follow that entry
+    caps = LEDGER_PINS[0][2]
+    ledger = list(build_fragment(*LEDGER_PINS[0][:3]).ledger)
+    members = set()
+    for i, entry in enumerate(ledger):
+        if entry.result is not None and entry.cutoff is None:
+            members.add(entry.result)
+            if len(members) == caps.max_members:
+                break
+    j = next(j for j in range(i, len(ledger)) if ledger[j].cutoff == "member-cap")
+    assert ledger[j].op == ledger[i].op
+    ledger.insert(i, ledger.pop(j))
+    with pytest.raises(ValueError):
+        replay_ledger(ledger, caps)
+
+
+@pytest.mark.parametrize("recount", [0, -1])
+def test_replay_rejects_a_miss_listed_as_built(recount):
+    # a union past the fill point that is no member, listed with its true
+    # result before the union summary, which keeps or drops its count
+    seeds, depth, caps, _ = LEDGER_PINS[1]
+    frag = build_fragment(seeds, depth, caps)
+    _, _, expanded = _walk_past_the_cap(frag)
+    miss = next(e for e in expanded if e.op == "union" and e.cutoff == "member-cap")
+    ledger = list(frag.ledger)
+    i = next(i for i, e in enumerate(ledger) if e.op == "union" and e.cutoff == "member-cap")
+    ledger[i] = dataclasses.replace(ledger[i], count=ledger[i].count + recount)
+    ledger.insert(i, LedgerEntry(op="union", args=miss.args, result=algebra.union(*miss.args)))
+    with pytest.raises(ValueError):
+        replay_ledger(ledger, caps)
+
+
+@pytest.mark.parametrize("op, cutoff", [("power", "power-cap"), ("product", "product-cap")])
+def test_replay_rejects_a_forged_cap_refusal(op, cutoff):
+    seeds, depth, caps, _ = LEDGER_PINS[4]
+    frag = build_fragment(seeds, depth, caps)
+    ledger = list(frag.ledger)
+    refused = [e for e in ledger if e.cutoff == cutoff]
+    assert refused
+    # an operand under the cap, recorded as refused
+    i = next(i for i, e in enumerate(ledger) if e.op == op and e.cutoff is None)
+    ledger[i] = LedgerEntry(op=op, args=ledger[i].args, cutoff=cutoff)
+    with pytest.raises(ValueError):
+        replay_ledger(ledger, caps)
+    # a refusal the caps give, recorded as built
+    ledger = list(frag.ledger)
+    i = ledger.index(refused[0])
+    ledger[i] = dataclasses.replace(refused[0], cutoff=None, result=QSet())
+    with pytest.raises(ValueError):
+        replay_ledger(ledger, caps)
+    # a refusal recorded under the other cap's reason
+    ledger = list(frag.ledger)
+    other = "product-cap" if cutoff == "power-cap" else "power-cap"
+    ledger[i] = dataclasses.replace(refused[0], cutoff=other)
+    with pytest.raises(ValueError):
+        replay_ledger(ledger, caps)
+    assert replay_ledger(frag.ledger, caps) == frag.elements
 
 
 # -- closure audit -------------------------------------------------------
@@ -577,8 +872,14 @@ def test_fragment_json_shape():
     frag = build_fragment([k(1)], depth=1)
     doc = json.loads(frag.to_json())
     assert list(doc) == ["schema", "elements", "rank", "depth", "ledger"]
-    assert doc["schema"] == "qset/1"
+    assert doc["schema"] == "qset/2"
     assert doc["depth"] == 1
+    # a member-cap summary is a count, with no args
+    frag = build_fragment(*LEDGER_PINS[0][:3])
+    summaries = [e for e in json.loads(frag.to_json())["ledger"] if e.get("cutoff") == "member-cap"]
+    assert summaries
+    for entry in summaries:
+        assert list(entry) == ["op", "cutoff", "count"] and entry["count"] >= 1
 
 
 def test_report_json_shape():
