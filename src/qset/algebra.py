@@ -146,8 +146,8 @@ class IndexedFamily:
 def family_union(family: IndexedFamily) -> QSet:
     """Union of all entries of a classically-indexed family."""
     out = QSet()
-    for desc in sorted(family.entries, key=lambda d: canonical_text(d)):
-        out = union(out, family.entries[desc])
+    for entry in family.entries.values():
+        out = union(out, entry)
     return out
 
 

@@ -64,8 +64,9 @@ class Kind:
     """A species of mutually indistinguishable atoms.
 
     ``atom_token`` is the text used for this kind's atoms in canonical
-    renderings; it defaults to ``m_<ident>`` and must stay unique per
-    session for renderings to parse back unambiguously.
+    renderings; it defaults to ``m_<ident>``, must start with ``m_`` (no
+    classical atom does) and must stay unique per session for renderings
+    to parse back unambiguously.
     """
 
     ident: str
@@ -79,13 +80,18 @@ class Kind:
             raise ValueError("kind ident must be nonempty")
         if not self.atom_token:
             object.__setattr__(self, "atom_token", "m_" + self.ident)
+        elif not self.atom_token.startswith("m_"):
+            raise ValueError("atom token %r must start with 'm_'" % self.atom_token)
         object.__setattr__(self, "text", self.atom_token)
         object.__setattr__(self, "key", (0, self.ident, self.atom_token))
 
 
 @dataclass(frozen=True)
 class CAtom:
-    """A classical atom: has identity, compares by id."""
+    """A classical atom: has identity, compares by id.
+
+    An id never starts with ``m_``, the prefix of m-atom renderings.
+    """
 
     ident: str
 
@@ -95,6 +101,8 @@ class CAtom:
     def __post_init__(self):
         if not self.ident:
             raise ValueError("classical atom id must be nonempty")
+        if self.ident.startswith("m_"):
+            raise ValueError("classical atom id %r must not start with 'm_'" % self.ident)
         object.__setattr__(self, "text", self.ident)
         object.__setattr__(self, "key", (1, self.ident))
 
@@ -218,7 +226,7 @@ class QSet:
         self._counts = counts
         self._text = text = "{%s}" % ", ".join(d.text if n == 1 else "%s^%d" % (d.text, n) for d, n in items)
         # member keys break ties between distinct values that render alike,
-        # such as {m_Q} from CAtom("m_Q") and from Kind("Q")
+        # such as {m_Q} from Kind("Q") and from Kind("P", "m_Q")
         self._key = (2, text, tuple((d.key, n) for d, n in items))
         self._qcard = sum(counts.values())
         self._depth = 1 + max([d.depth for d in counts]) if counts else 0

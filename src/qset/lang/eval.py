@@ -149,7 +149,10 @@ class Session:
         self.populations[kind_name] = count
 
     def declare_catom(self, name: str, span: Span | None = None) -> CAtom:
-        atom = CAtom(name)
+        try:
+            atom = CAtom(name)
+        except ValueError as err:
+            raise EvalError(str(err), span=span) from err
         self._bind(name, _ValueBinding(atom), span)
         return atom
 

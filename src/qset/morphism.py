@@ -40,10 +40,6 @@ __all__ = [
 GraphPair = tuple[ElementDesc, ElementDesc]
 
 
-def _normalize_graph(graph: Iterable[GraphPair]) -> frozenset[GraphPair]:
-    return frozenset((a, b) for a, b in graph)
-
-
 @dataclass(frozen=True)
 class QuasiRelation:
     dom: QSet
@@ -51,7 +47,7 @@ class QuasiRelation:
     graph: frozenset[GraphPair]
 
     def __post_init__(self):
-        object.__setattr__(self, "graph", _normalize_graph(self.graph))
+        object.__setattr__(self, "graph", frozenset((a, b) for a, b in self.graph))
         for a, b in self.graph:
             if self.dom.count(a) == 0:
                 raise ValueError("graph uses %s, not a class of the domain" % canonical_text(a))
@@ -79,7 +75,7 @@ class QuasiFunction(QuasiRelation):
 
 
 def quasi_function(dom: QSet, cod: QSet, graph: Iterable[GraphPair]) -> QuasiFunction:
-    return QuasiFunction(dom, cod, _normalize_graph(graph))
+    return QuasiFunction(dom, cod, graph)
 
 
 def is_quasi_function(q: QuasiRelation) -> bool:

@@ -3,11 +3,13 @@
 A universe closed under the constructor algebra is infinite, so this
 module works with finite fragments: start from seed elements and apply
 the constructors for a fixed number of rounds, under explicit caps.
-Every step lands in a ledger that can be replayed to reproduce the
-fragment's exact element multiset, and every place a cap bit is
-recorded as a cutoff rather than silently dropped: a power or product
-cap refusal as one entry, the member cap's misses as one count per
-round and constructor, which replay recounts.
+Every step lands in a ledger, and every place a cap bit is recorded as
+a cutoff rather than silently dropped: a power or product cap refusal
+as one entry, the member cap's misses as one count per round and
+constructor.  Replay grows the ledger's seeds again with the same round
+sweep, requires the ledger to be exactly the one build writes, and
+builds every result build looked up, so a ledger that replays
+reproduces the fragment's exact element multiset.
 
 ``check_qED`` audits how far a fragment is from being closed: for each
 closure condition it records the member combinations whose required
@@ -275,7 +277,6 @@ CONSTRUCTORS = (
                 lambda a, parts, caps: parts.opair(*a),
                 _find_opair),
 )
-_POSITION = {row.name: i for i, row in enumerate(CONSTRUCTORS)}
 
 # Audit sections in report order; cond4 (family union) has no row.
 SECTIONS = ("cond1", "cond2", "cond3", "cond4", "theorem1")
@@ -406,11 +407,23 @@ def build_fragment(
     base = _seed_members(seeds)
     if base.qcard == 0:
         raise EmptyUniverse("a universe fragment needs at least one seed element")
-    members: dict[ElementDesc, int] = dict(base.classes())
-    if len(members) > caps.max_members:
+    if base.distinct_classes() > caps.max_members:
         raise CapExceeded(
-            "seeds have %d distinct classes, member cap is %d" % (len(members), caps.max_members)
+            "seeds have %d distinct classes, member cap is %d"
+            % (base.distinct_classes(), caps.max_members)
         )
+    members, ledger = _grow(base, depth, caps)
+    return Fragment(elements=QSet(members.items()), ledger=tuple(ledger), caps=caps, depth=depth)
+
+
+def _grow(base: QSet, depth: int, caps: BuildCaps, rederive: bool = False):
+    """The members and the ledger of ``depth`` rounds grown from ``base``.
+
+    This is the one round sweep, shared by build and replay.  With
+    ``rederive``, every result ``find`` looks up is also built with the
+    row's ``apply``, and a difference raises ValueError.
+    """
+    members: dict[ElementDesc, int] = dict(base.classes())
     ledger: list[LedgerEntry] = [
         LedgerEntry(op="seed", result=desc, count=n) for desc, n in base.classes()
     ]
@@ -431,6 +444,11 @@ def build_fragment(
                     result = row.find(args, snapshot, index)
                     if result is None:
                         misses += 1
+                    elif rederive and row.apply(args, parts, caps) != result:
+                        raise ValueError(
+                            "ledger replay diverged at entry %d: %s finds %s, apply builds another value"
+                            % (len(ledger), row.name, result.text)
+                        )
                     else:
                         ledger.append(LedgerEntry(op=row.name, args=args, result=result))
                 else:
@@ -442,114 +460,60 @@ def build_fragment(
                     ledger.append(LedgerEntry(op=row.name, args=args, result=result))
             if misses:
                 ledger.append(LedgerEntry(op=row.name, count=misses, cutoff=MEMBER_CAP))
+    return members, ledger
 
-    return Fragment(elements=QSet(members.items()), ledger=tuple(ledger), caps=caps, depth=depth)
 
+def _same(x, y, proven: set) -> bool:
+    """``x == y``, walking each pair of distinct objects once per replay.
 
-def _recount(rnd: int, universe: QSet, index: MemberIndex, summaries: dict, caps: BuildCaps):
-    """Check one round's member-cap summaries against the misses ``find`` recounts."""
-    ordered = [d for d, _ in universe.classes()]
-    for row in CONSTRUCTORS:
-        misses = sum(
-            1 for args in row.operands(ordered)
-            if row.cap(args, caps) is None and row.find(args, universe, index) is None
-        )
-        if misses != summaries.get(row.name, 0):
-            raise ValueError(
-                "ledger replay diverged in round %d at %s: %d member-cap misses, recorded %d"
-                % (rnd, row.name, misses, summaries.get(row.name, 0))
-            )
+    Both ledgers hold their values for the whole replay, so an id pair
+    proven equal stays equal and is never reused.
+    """
+    if x is y or (id(x), id(y)) in proven:
+        return True
+    if x != y:
+        return False
+    proven.add((id(x), id(y)))
+    return True
 
 
 def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) -> QSet:
-    """Re-run a ledger and return the element multiset it reconstructs.
+    """Rebuild a ledger and return the element multiset it reconstructs.
 
-    Listed results are rebuilt with their row's ``apply``.  Cutoffs are
-    checked, not trusted.  A listed ``power-cap`` or ``product-cap``
-    entry must be the reason the row's ``cap`` gives for its args.  Once
-    the members reach ``caps.max_members``, replay indexes them as build
-    does, and at the end of each round recounts every row's member-cap
-    misses: the operand tuples that the caps pass and ``find`` answers
-    with None.  That count must equal the row's summary entry, or be 0
-    where the row has none.  The recount sweeps whole rows: a tuple
-    before the point where the cap filled counts nothing, because its
-    result was listed and added, so ``find`` answers it.
-
-    Any divergence raises ValueError: a result that differs, an op no
-    constructor has, args that do not match its arity, a round's entries
-    out of table order, a result added past the member cap, a refusal the
-    caps do not give, and a summary that is wrong, missing, extra or
-    misplaced.
+    Replay grows the ledger's seeds for as many rounds as it lists, with
+    the round sweep of ``build_fragment``, and requires the ledger to be,
+    entry for entry, the one that build writes.  Past the point where
+    the member cap fills, build looks results up with each row's
+    ``find``; replay also builds each of them with the row's ``apply``.
+    Any divergence raises ValueError: seeds that build does not take, a
+    result ``find`` and ``apply`` disagree on, or the first entry that
+    differs from what build writes, with its index.
     """
-    members: dict[ElementDesc, int] = {}
-    parts = Parts(QSet())
-    index: MemberIndex | None = None
-    summaries: dict[str, int] = {}
-    rnd = pos = 0
-    closed = False  # whether the row at pos has had its summary
-    for entry in ledger:
-        if entry.op == "seed":
-            members[entry.result] = members.get(entry.result, 0) + entry.count
-            continue
-        if entry.op == "round":
-            if index is not None:
-                _recount(rnd, parts.universe, index, summaries, caps)
-            rnd += 1
-            parts = Parts(QSet(members.items()))
-            if index is None and len(members) >= caps.max_members:
-                index = MemberIndex(members)
-            summaries, pos, closed = {}, 0, False
-            continue
-        i = _POSITION.get(entry.op)
-        summary = entry.cutoff == MEMBER_CAP
-        if i is None or len(entry.args) != (0 if summary else CONSTRUCTORS[i].arity):
+    recorded = list(ledger)
+    try:
+        base = QSet((e.result, e.count) for e in recorded if e.op == "seed")
+    except (TypeError, ValueError) as err:
+        raise ValueError("ledger replay diverged at the seeds: %s" % err) from err
+    if not 0 < base.distinct_classes() <= caps.max_members:
+        raise ValueError(
+            "ledger replay diverged at the seeds: %d distinct classes, member cap is %d"
+            % (base.distinct_classes(), caps.max_members)
+        )
+    members, rebuilt = _grow(base, sum(e.op == "round" for e in recorded), caps, rederive=True)
+    proven: set = set()
+    for i, (entry, built) in enumerate(itertools.zip_longest(recorded, rebuilt)):
+        if entry is None or built is None or not (
+            entry.op == built.op
+            and entry.count == built.count
+            and entry.cutoff == built.cutoff
+            and len(entry.args) == len(built.args)
+            and all(_same(a, b, proven) for a, b in zip(entry.args, built.args))
+            and _same(entry.result, built.result, proven)
+        ):
             raise ValueError(
-                "ledger replay diverged at %s%s with %d args: no such entry"
-                % (entry.op, " member-cap summary" if summary else "", len(entry.args))
+                "ledger replay diverged at entry %d: recorded %s, build writes %s"
+                % (i, entry or "no entry", built or "no entry")
             )
-        row = CONSTRUCTORS[i]
-        if i < pos or (i == pos and closed):
-            raise ValueError(
-                "ledger replay diverged in round %d at %s: out of table order" % (rnd, entry.op)
-            )
-        if i > pos:
-            pos, closed = i, False
-        if summary:
-            if index is None or entry.count < 1 or entry.result is not None:
-                where = "before the cap filled" if index is None else "misses"
-                raise ValueError(
-                    "ledger replay diverged in round %d at %s: a member-cap summary of %d %s"
-                    % (rnd, entry.op, entry.count, where)
-                )
-            summaries[entry.op] = entry.count
-            closed = True
-            continue
-        refusal = row.cap(entry.args, caps)
-        if refusal != entry.cutoff:
-            raise ValueError(
-                "ledger replay diverged in round %d at %s: the caps give %s, recorded %s"
-                % (rnd, entry.op, refusal, entry.cutoff)
-            )
-        if refusal is not None:
-            continue
-        result = row.apply(entry.args, parts, caps)
-        if result != entry.result:
-            raise ValueError(
-                "ledger replay diverged at %s: got %s, recorded %s"
-                % (entry.op, result.text, canonical_text(entry.result))
-            )
-        if result in members:
-            continue
-        if index is not None:
-            raise ValueError(
-                "ledger replay diverged at %s: %s added past the member cap"
-                % (entry.op, result.text)
-            )
-        members[result] = 1
-        if len(members) >= caps.max_members:
-            index = MemberIndex(members)
-    if index is not None:
-        _recount(rnd, parts.universe, index, summaries, caps)
     return QSet(members.items())
 
 

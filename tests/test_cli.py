@@ -149,6 +149,13 @@ def test_any_script_text_exits_with_a_documented_code(prelude, pieces):
         sys.stdin = stdin
 
 
+def test_a_classical_atom_named_like_an_m_atom_is_a_diagnostic(monkeypatch, capsys):
+    assert eval_stdin(monkeypatch, "kind Z\ncatom m_Z\n") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("-:2:1: error: classical atom id 'm_Z' must not start with 'm_'\n")
+
+
 def test_runtime_error_diagnostic_points_at_the_literal(tmp_path):
     path = script(tmp_path, "qc({k^9})\n")
     proc = run_cli("eval", path)

@@ -218,10 +218,19 @@ def test_text_sorts_kinds_by_ident():
 
 
 def test_kinds_sharing_an_ident_order_by_atom_token():
-    a, b = Kind("K", "a"), Kind("K", "b")
+    a, b = Kind("K", "m_a"), Kind("K", "m_b")
     assert QSet([a, b]) == QSet([b, a])
-    assert QSet([b, a]).text == "{a, b}"
+    assert QSet([b, a]).text == "{m_a, m_b}"
     assert hash(QSet([a, b])) == hash(QSet([b, a]))
+
+
+@pytest.mark.parametrize("make", [lambda: CAtom("m_Q"), lambda: Kind("Q", atom_token="A1")],
+                         ids=["catom", "kind"])
+def test_classical_and_m_atom_texts_cannot_clash(make):
+    # m-atoms render with the m_ prefix and classical atoms never do, so
+    # CAtom("m_Q") would render as Kind("Q")'s atoms, and Kind("Q", "A1")'s as CAtom("A1")
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_text_counts_as_superscript():

@@ -643,6 +643,97 @@ def test_replay_rejects_a_forged_cap_refusal(op, cutoff):
     assert replay_ledger(frag.ledger, caps) == frag.elements
 
 
+# -- replay rebuilds the ledger ---------------------------------------------
+
+
+def test_replay_rejects_a_listed_entry_on_a_non_member():
+    # {zzz} is no member of round 1, so build never applies power to it
+    frag = build_fragment([qs((K, 1))], depth=1)
+    ledger = list(frag.ledger)
+    stranger = QSet([CAtom("zzz")])
+    i = max(i for i, e in enumerate(ledger) if e.op == "power") + 1
+    ledger.insert(i, LedgerEntry(op="power", args=(stranger,), result=algebra.power(stranger)))
+    with pytest.raises(ValueError, match="entry %d" % i):
+        replay_ledger(ledger, frag.caps)
+
+
+def test_replay_rejects_listed_args_out_of_sweep_order():
+    # union commutes, so the swapped operands still give the recorded result
+    frag = build_fragment([qs((K, 1)), qs(A1)], depth=1)
+    ledger = list(frag.ledger)
+    i = next(i for i, e in enumerate(ledger) if e.op == "union" and e.args[0] != e.args[1])
+    ledger[i] = dataclasses.replace(ledger[i], args=ledger[i].args[::-1])
+    with pytest.raises(ValueError, match="entry %d" % i):
+        replay_ledger(ledger, frag.caps)
+
+
+@pytest.mark.parametrize("op", ["power", "singleton", "pair", "opair"])
+def test_replay_rejects_a_listed_entry_dropped_before_the_cap_fills(op):
+    caps = LEDGER_PINS[0][2]
+    frag = build_fragment(*LEDGER_PINS[0][:3])
+    ledger = list(frag.ledger)
+    i = next(i for i, e in enumerate(ledger) if e.op == op)
+    members = {e.result for e in ledger[:i + 1] if e.result is not None and e.cutoff is None}
+    assert len(members) < caps.max_members
+    del ledger[i]
+    with pytest.raises(ValueError, match="entry %d" % i):
+        replay_ledger(ledger, caps)
+
+
+def _reseed(how, ledger):
+    seeds = [e for e in ledger if e.op == "seed"]
+    rest = ledger[len(seeds):]
+    if how == "reordered":
+        return seeds[::-1] + rest
+    if how == "split":
+        return seeds[:1] + rest[:1] + seeds[1:] + rest[1:]
+    if how == "one missing":
+        return seeds[1:] + rest
+    if how == "all missing":
+        return rest
+    if how == "without a result":
+        return [dataclasses.replace(seeds[0], result=None)] + seeds[1:] + rest
+    if how == "with count 0":
+        return [dataclasses.replace(seeds[0], count=0)] + seeds[1:] + rest
+
+
+@pytest.mark.parametrize("how", [
+    "reordered", "split", "one missing", "all missing", "without a result", "with count 0",
+])
+def test_replay_rejects_seed_entries_build_does_not_write(how):
+    frag = build_fragment([A1, qs((K, 1))], depth=1)
+    ledger = _reseed(how, list(frag.ledger))
+    assert ledger != list(frag.ledger)
+    with pytest.raises(ValueError) as err:
+        replay_ledger(ledger, frag.caps)
+    assert type(err.value) is ValueError
+
+
+def test_replay_does_not_call_build_fragment(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("replay called build_fragment")
+
+    frag = build_fragment(*LEDGER_PINS[1][:3])
+    monkeypatch.setattr(universe_module, "build_fragment", refuse)
+    assert replay_ledger(frag.ledger, frag.caps) == frag.elements
+
+
+def test_replay_builds_every_result_find_looks_up(monkeypatch):
+    # a find that answers every union with the first member it can: build
+    # trusts it past the fill point, replay must build the union and refuse
+    def any_member(args, universe, index):
+        return next(iter(index.by_classes.values()))
+
+    rows = tuple(
+        dataclasses.replace(row, find=any_member) if row.name == "union" else row
+        for row in universe_module.CONSTRUCTORS
+    )
+    monkeypatch.setattr(universe_module, "CONSTRUCTORS", rows)
+    frag = build_fragment(*LEDGER_PINS[0][:3])
+    with pytest.raises(ValueError):
+        replay_ledger(frag.ledger, frag.caps)
+
+
 # -- closure audit -------------------------------------------------------
 
 
