@@ -35,8 +35,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, caps: bool = True):
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default: text)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="generator seed (default: 0)")
         if caps:
             p.add_argument("--cap-power", type=int, default=None, metavar="N",
                            help="refuse power computations past qcard N")
@@ -60,6 +58,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_laws.add_argument("--samples", type=int, default=100, metavar="N",
                         help="number of generated quasi-functions (default: 100)")
     common(p_laws, caps=False)
+    p_laws.add_argument("--seed", type=int, default=0,
+                        help="generator seed (default: 0)")
     return ap
 
 
@@ -90,11 +90,7 @@ def _caps_from(args) -> BuildCaps:
 
 
 def _session_from(args) -> Session:
-    return Session(
-        caps=_caps_from(args),
-        default_depth=args.depth if args.depth is not None else 1,
-        depth_override=args.depth,
-    )
+    return Session(caps=_caps_from(args), depth=args.depth)
 
 
 def _color_ok(stream) -> bool:

@@ -12,16 +12,20 @@ is a Kind (standing for its m-atoms), a CAtom (count always 1, since
 identity makes repeats meaningless), a nested canonical QSet, or a
 PrimPair (produced by cartesian products).  Every descriptor carries
 the same four attributes, computed once when it is made: ``text`` (its
-canonical rendering), ``key`` (its place in the canonical order: kinds
-by ident, then classical atoms, quasi-sets and pairs, each by text),
-``depth`` (hereditary nesting depth) and ``is_classical``.
+canonical rendering), ``key`` (``(rank, text)``, its place in the
+canonical order: kinds, then classical atoms, quasi-sets and pairs,
+each by text), ``depth`` (hereditary nesting depth) and
+``is_classical``.
 
-Values are immutable and canonical: two QSet objects compare equal
-exactly when they are indistinguishable, so == is the
-indistinguishability relation on quasi-sets and QSets can key dicts.
-Construction is bottom-up from already-canonical parts, which makes
-membership well-founded by construction; a value can never occur among
-its own hereditary elements because nesting depth strictly decreases.
+A value is its canonical text.  Kind idents and classical atom ids are
+identifiers, so every text parses back to exactly one value, and two
+values are indistinguishable exactly when their texts are equal: QSet
+and PrimPair hash their text and compare by it, so == is the
+indistinguishability relation and values of any depth compare without
+recursion.  Values are immutable and key dicts.  Construction is
+bottom-up from already-canonical parts, which makes membership
+well-founded by construction; a value can never occur among its own
+hereditary elements because nesting depth strictly decreases.
 
 M-atom labels exist only inside "labeled builds": plain Python lists
 (for collections) containing MAtom/CAtom leaves and RawPair nodes.
@@ -33,6 +37,7 @@ recover a label.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
@@ -59,31 +64,28 @@ __all__ = [
 ]
 
 
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _check_ident(what: str, ident: str) -> None:
+    if _IDENT.fullmatch(ident) is None:
+        raise ValueError("%s %r is not an identifier" % (what, ident))
+
+
 @dataclass(frozen=True)
 class Kind:
-    """A species of mutually indistinguishable atoms.
-
-    ``atom_token`` is the text used for this kind's atoms in canonical
-    renderings; it defaults to ``m_<ident>``, must start with ``m_`` (no
-    classical atom does) and must stay unique per session for renderings
-    to parse back unambiguously.
-    """
+    """A species of mutually indistinguishable atoms; they render as
+    ``m_<ident>``."""
 
     ident: str
-    atom_token: str = ""
 
     depth = 0
     is_classical = False
 
     def __post_init__(self):
-        if not self.ident:
-            raise ValueError("kind ident must be nonempty")
-        if not self.atom_token:
-            object.__setattr__(self, "atom_token", "m_" + self.ident)
-        elif not self.atom_token.startswith("m_"):
-            raise ValueError("atom token %r must start with 'm_'" % self.atom_token)
-        object.__setattr__(self, "text", self.atom_token)
-        object.__setattr__(self, "key", (0, self.ident, self.atom_token))
+        _check_ident("kind ident", self.ident)
+        object.__setattr__(self, "text", "m_" + self.ident)
+        object.__setattr__(self, "key", (0, self.text))
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,7 @@ class CAtom:
     is_classical = True
 
     def __post_init__(self):
-        if not self.ident:
-            raise ValueError("classical atom id must be nonempty")
+        _check_ident("classical atom id", self.ident)
         if self.ident.startswith("m_"):
             raise ValueError("classical atom id %r must not start with 'm_'" % self.ident)
         object.__setattr__(self, "text", self.ident)
@@ -140,10 +141,10 @@ class PrimPair:
         self._first = first
         self._second = second
         self._text = text = "<%s, %s>" % (first.text, second.text)
-        self._key = (3, text, first.key, second.key)
+        self._key = (3, text)
         self._depth = 1 + max(first.depth, second.depth)
         self._classical = first.is_classical and second.is_classical
-        self._hash = hash((first, second))
+        self._hash = hash(text)
 
     first = property(attrgetter("_first"))
     second = property(attrgetter("_second"))
@@ -157,9 +158,7 @@ class PrimPair:
             return True
         if not isinstance(other, PrimPair):
             return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return _same_nesting(self, other)
+        return self._hash == other._hash and self._text == other._text
 
     def __hash__(self):
         return self._hash
@@ -225,13 +224,11 @@ class QSet:
         self._items = items = tuple(sorted(counts.items(), key=_class_key))
         self._counts = counts
         self._text = text = "{%s}" % ", ".join(d.text if n == 1 else "%s^%d" % (d.text, n) for d, n in items)
-        # member keys break ties between distinct values that render alike,
-        # such as {m_Q} from Kind("Q") and from Kind("P", "m_Q")
-        self._key = (2, text, tuple((d.key, n) for d, n in items))
+        self._key = (2, text)
         self._qcard = sum(counts.values())
         self._depth = 1 + max([d.depth for d in counts]) if counts else 0
         self._classical = all([d.is_classical for d in counts])
-        self._hash = hash(items)
+        self._hash = hash(text)
 
     text = property(attrgetter("_text"))
     key = property(attrgetter("_key"))
@@ -267,9 +264,7 @@ class QSet:
             return True
         if not isinstance(other, QSet):
             return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return _same_nesting(self, other)
+        return self._hash == other._hash and self._text == other._text
 
     def __hash__(self):
         return self._hash
@@ -280,31 +275,6 @@ class QSet:
 
 ElementDesc = Union[Kind, CAtom, QSet, PrimPair]
 _DESCRIPTORS = (Kind, CAtom, QSet, PrimPair)
-
-
-def _same_nesting(x, y) -> bool:
-    """Whether two descriptors are equal, walking nested quasi-sets and
-    pairs with an explicit stack, so that values of any depth compare."""
-    stack = [(x, y)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if isinstance(a, QSet) and isinstance(b, QSet):
-            if a._hash != b._hash or len(a._items) != len(b._items):
-                return False
-            for (da, na), (db, nb) in zip(a._items, b._items):
-                if na != nb:
-                    return False
-                stack.append((da, db))
-        elif isinstance(a, PrimPair) and isinstance(b, PrimPair):
-            if a._hash != b._hash:
-                return False
-            stack.append((a._second, b._second))
-            stack.append((a._first, b._first))
-        elif a != b:
-            return False
-    return True
 
 
 def as_descriptor(e) -> ElementDesc:

@@ -102,11 +102,9 @@ class Outcome:
 class Session:
     """Declaration registries plus evaluation state for one script/REPL."""
 
-    def __init__(self, caps: BuildCaps = BuildCaps(), default_depth: int = 1,
-                 depth_override: int | None = None):
+    def __init__(self, caps: BuildCaps = BuildCaps(), depth: int | None = None):
         self.caps = caps
-        self.default_depth = default_depth
-        self.depth_override = depth_override
+        self.depth = depth  # when set, every build uses it
         self.kinds: dict[str, Kind] = {}
         self.populations: dict[str, int] = {}
         self.env: dict[str, object] = {
@@ -134,7 +132,7 @@ class Session:
             raise EvalError("kind '%s' is already declared" % name, span=span)
         kind = Kind(name)
         self._bind(name, _KindBinding(kind), span)
-        self._bind(kind.atom_token, _AtomsBinding(kind), span)
+        self._bind(kind.text, _AtomsBinding(kind), span)
         self.kinds[name] = kind
         self.populations[name] = 0
         return kind
@@ -451,12 +449,9 @@ def _is_nat(value) -> bool:
 
 def _op_build(term, env):
     seeds = _need_qset(term, env, 0)
-    if len(term.args) == 2:
-        depth = _need_nat(term, env, 1)
-    else:
-        depth = env.default_depth
-    if env.depth_override is not None:
-        depth = env.depth_override
+    depth = _need_nat(term, env, 1) if len(term.args) == 2 else 1
+    if env.depth is not None:
+        depth = env.depth
     return build_fragment(seeds, depth, env.caps)
 
 

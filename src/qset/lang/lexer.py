@@ -55,7 +55,7 @@ class Span:
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "ident" | "int" | "keyword" | "punct" | "string" | "eof"
+    kind: str  # "ident" | "int" | "keyword" | "punct" | "eof"
     text: str
     span: Span
 
@@ -87,27 +87,6 @@ def tokenize(source: str) -> list[Token]:
             while j < n and data[j] in _DIGITS:
                 j += 1
             out.append(Token("int", data[i:j].decode("ascii"), Span(i, j)))
-            i = j
-            continue
-        if b == ord('"'):
-            j = i + 1
-            chunks = []
-            while True:
-                if j >= n or data[j] == ord("\n"):
-                    raise LexError("unterminated string", span=Span(i, j))
-                c = data[j]
-                if c == ord('"'):
-                    j += 1
-                    break
-                if c == ord("\\") and j + 1 < n and data[j + 1] in (ord('"'), ord("\\")):
-                    chunks.append(data[j + 1 : j + 2])
-                    j += 2
-                    continue
-                if c >= 0x80:
-                    raise LexError("non-ASCII byte 0x%02x in string" % c, span=Span(j, j + 1))
-                chunks.append(data[j : j + 1])
-                j += 1
-            out.append(Token("string", b"".join(chunks).decode("ascii"), Span(i, j)))
             i = j
             continue
         if b in _PUNCT:

@@ -412,25 +412,25 @@ def build_fragment(
             "seeds have %d distinct classes, member cap is %d"
             % (base.distinct_classes(), caps.max_members)
         )
-    members, ledger = _grow(base, depth, caps)
-    return Fragment(elements=QSet(members.items()), ledger=tuple(ledger), caps=caps, depth=depth)
+    members = dict(base.classes())
+    ledger = tuple(_grow(members, depth, caps))
+    return Fragment(elements=QSet(members.items()), ledger=ledger, caps=caps, depth=depth)
 
 
-def _grow(base: QSet, depth: int, caps: BuildCaps, rederive: bool = False):
-    """The members and the ledger of ``depth`` rounds grown from ``base``.
+def _grow(members: dict[ElementDesc, int], depth: int, caps: BuildCaps, rederive: bool = False):
+    """Yield the ledger of ``depth`` rounds grown from ``members``, the
+    seeds' classes, and add each new member to ``members`` as it goes.
 
     This is the one round sweep, shared by build and replay.  With
     ``rederive``, every result ``find`` looks up is also built with the
     row's ``apply``, and a difference raises ValueError.
     """
-    members: dict[ElementDesc, int] = dict(base.classes())
-    ledger: list[LedgerEntry] = [
-        LedgerEntry(op="seed", result=desc, count=n) for desc, n in base.classes()
-    ]
+    for desc, n in members.items():
+        yield LedgerEntry(op="seed", result=desc, count=n)
     index = MemberIndex(members) if len(members) >= caps.max_members else None
 
     for r in range(1, depth + 1):
-        ledger.append(LedgerEntry(op="round", count=r))
+        yield LedgerEntry(op="round", count=r)
         snapshot = QSet(members.items())
         parts = Parts(snapshot)
         ordered = [d for d, _ in snapshot.classes()]
@@ -439,42 +439,27 @@ def _grow(base: QSet, depth: int, caps: BuildCaps, rederive: bool = False):
             for args in row.operands(ordered):
                 cutoff = row.cap(args, caps)
                 if cutoff is not None:
-                    ledger.append(LedgerEntry(op=row.name, args=args, cutoff=cutoff))
+                    yield LedgerEntry(op=row.name, args=args, cutoff=cutoff)
                 elif index is not None:
                     result = row.find(args, snapshot, index)
                     if result is None:
                         misses += 1
                     elif rederive and row.apply(args, parts, caps) != result:
                         raise ValueError(
-                            "ledger replay diverged at entry %d: %s finds %s, apply builds another value"
-                            % (len(ledger), row.name, result.text)
+                            "ledger replay diverged: %s of %s finds %s, apply builds another value"
+                            % (row.name, ", ".join(a.text for a in args), result.text)
                         )
                     else:
-                        ledger.append(LedgerEntry(op=row.name, args=args, result=result))
+                        yield LedgerEntry(op=row.name, args=args, result=result)
                 else:
                     result = row.apply(args, parts, caps)
                     if result not in members:
                         members[result] = 1
                         if len(members) >= caps.max_members:
                             index = MemberIndex(members)
-                    ledger.append(LedgerEntry(op=row.name, args=args, result=result))
+                    yield LedgerEntry(op=row.name, args=args, result=result)
             if misses:
-                ledger.append(LedgerEntry(op=row.name, count=misses, cutoff=MEMBER_CAP))
-    return members, ledger
-
-
-def _same(x, y, proven: set) -> bool:
-    """``x == y``, walking each pair of distinct objects once per replay.
-
-    Both ledgers hold their values for the whole replay, so an id pair
-    proven equal stays equal and is never reused.
-    """
-    if x is y or (id(x), id(y)) in proven:
-        return True
-    if x != y:
-        return False
-    proven.add((id(x), id(y)))
-    return True
+                yield LedgerEntry(op=row.name, count=misses, cutoff=MEMBER_CAP)
 
 
 def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) -> QSet:
@@ -482,12 +467,13 @@ def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) 
 
     Replay grows the ledger's seeds for as many rounds as it lists, with
     the round sweep of ``build_fragment``, and requires the ledger to be,
-    entry for entry, the one that build writes.  Past the point where
-    the member cap fills, build looks results up with each row's
-    ``find``; replay also builds each of them with the row's ``apply``.
-    Any divergence raises ValueError: seeds that build does not take, a
-    result ``find`` and ``apply`` disagree on, or the first entry that
-    differs from what build writes, with its index.
+    entry for entry, the one that build writes; it stops at the first
+    entry that differs, without growing the rounds after it.  Past the
+    point where the member cap fills, build looks results up with each
+    row's ``find``; replay also builds each of them with the row's
+    ``apply``.  Any divergence raises ValueError: seeds that build does
+    not take, a result ``find`` and ``apply`` disagree on, or the first
+    entry that differs from what build writes, with its index.
     """
     recorded = list(ledger)
     try:
@@ -499,17 +485,10 @@ def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) 
             "ledger replay diverged at the seeds: %d distinct classes, member cap is %d"
             % (base.distinct_classes(), caps.max_members)
         )
-    members, rebuilt = _grow(base, sum(e.op == "round" for e in recorded), caps, rederive=True)
-    proven: set = set()
+    members = dict(base.classes())
+    rebuilt = _grow(members, sum(e.op == "round" for e in recorded), caps, rederive=True)
     for i, (entry, built) in enumerate(itertools.zip_longest(recorded, rebuilt)):
-        if entry is None or built is None or not (
-            entry.op == built.op
-            and entry.count == built.count
-            and entry.cutoff == built.cutoff
-            and len(entry.args) == len(built.args)
-            and all(_same(a, b, proven) for a, b in zip(entry.args, built.args))
-            and _same(entry.result, built.result, proven)
-        ):
+        if entry != built:
             raise ValueError(
                 "ledger replay diverged at entry %d: recorded %s, build writes %s"
                 % (i, entry or "no entry", built or "no entry")

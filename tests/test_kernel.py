@@ -21,7 +21,8 @@ from qset import (
     qcard,
     relabel,
 )
-from qset.gen import flat_qsets
+from qset.algebra import power, product
+from qset.gen import StructureGen, flat_qsets
 
 K = Kind("K")
 J = Kind("J")
@@ -217,20 +218,62 @@ def test_text_sorts_kinds_by_ident():
     assert canonicalize([k(1), j(1)]).text == "{m_J, m_K}"
 
 
-def test_kinds_sharing_an_ident_order_by_atom_token():
-    a, b = Kind("K", "m_a"), Kind("K", "m_b")
-    assert QSet([a, b]) == QSet([b, a])
-    assert QSet([b, a]).text == "{m_a, m_b}"
-    assert hash(QSet([a, b])) == hash(QSet([b, a]))
-
-
-@pytest.mark.parametrize("make", [lambda: CAtom("m_Q"), lambda: Kind("Q", atom_token="A1")],
+@pytest.mark.parametrize("make", [lambda: CAtom("m_Q"), lambda: Kind("Q, m_R")],
                          ids=["catom", "kind"])
 def test_classical_and_m_atom_texts_cannot_clash(make):
     # m-atoms render with the m_ prefix and classical atoms never do, so
-    # CAtom("m_Q") would render as Kind("Q")'s atoms, and Kind("Q", "A1")'s as CAtom("A1")
+    # CAtom("m_Q") would render as Kind("Q")'s atoms, and {Kind("Q, m_R")}
+    # as {Kind("Q"), Kind("R")}
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("name", ["", "a b", "Q, m_R", "x}, {y", "1x", "é"])
+@pytest.mark.parametrize("atom", [Kind, CAtom])
+def test_atom_names_must_be_identifiers(atom, name):
+    # any other name could render like another value
+    with pytest.raises(ValueError):
+        atom(name)
+
+
+def _hereditary(value, out):
+    out.append(value)
+    if isinstance(value, QSet):
+        for d, _ in value.classes():
+            _hereditary(d, out)
+    elif isinstance(value, PrimPair):
+        _hereditary(value.first, out)
+        _hereditary(value.second, out)
+
+
+_RANKS = {Kind: 0, CAtom: 1, QSet: 2, PrimPair: 3}
+
+
+def test_text_is_the_identity_of_a_value():
+    # names that share letters with each other and with the m_ prefix
+    gen = StructureGen(
+        7, kinds=[Kind("K"), Kind("m_K"), Kind("K_m")], catoms=[CAtom("K"), CAtom("mK"), CAtom("A1")],
+    )
+    values = []
+    for i in range(5000):
+        x = gen.qset(max_qcard=4, max_depth=2)
+        _hereditary(x, values)
+        if x.qcard <= 4:
+            _hereditary(power(x), values)
+        if i % 2 and x.qcard * values[-1].qcard <= 16 and isinstance(values[-1], QSet):
+            _hereditary(product(x, values[-1]), values)
+    values = list({id(v): v for v in values}.values())
+    assert len(values) >= 5000
+    by_text, by_onf = {}, {}
+    for v in values:
+        assert v.key == (_RANKS[type(v)], v.text)
+        onf = onf_value(v)
+        by_text.setdefault(v.text, set()).add(onf)
+        by_onf.setdefault(onf, set()).add(v.text)
+    assert all(len(forms) == 1 for forms in by_text.values())
+    assert all(len(texts) == 1 for texts in by_onf.values())
+    # == and hash agree with text: a set of the values keeps one per text
+    assert len(set(values)) == len(by_text)
 
 
 def test_text_counts_as_superscript():
@@ -283,8 +326,8 @@ def _chain(leaf, depth=1500):
 
 
 def test_separately_built_deep_pair_chains_compare():
-    # equality walks the chain with an explicit stack, not one Python
-    # frame per level
+    # equality compares the cached texts, so no Python frame is spent
+    # per level
     a, b, c = _chain(CAtom("a")), _chain(CAtom("a")), _chain(CAtom("b"))
     assert a is not b
     assert a == b
@@ -304,8 +347,7 @@ def _nesting(leaf, pairs, depth=1500):
 
 @pytest.mark.parametrize("pairs", [False, True], ids=["qsets", "qsets-and-pairs"])
 def test_separately_built_deep_nestings_compare(pairs):
-    # QSet equality walks nested quasi-sets and pairs with the same
-    # explicit stack as pair equality
+    # QSet equality compares texts too, through quasi-sets and pairs alike
     a, b, c = _nesting(CAtom("a"), pairs), _nesting(CAtom("a"), pairs), _nesting(CAtom("b"), pairs)
     assert a is not b
     assert a == b

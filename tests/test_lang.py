@@ -74,26 +74,17 @@ def test_comments_run_to_end_of_line():
     assert texts_of(toks)[:-1] == ["qc", "(", "x", ")", "2"]
 
 
-def test_string_escapes():
-    toks = tokenize(r'"ab\"c\\d"')
-    assert toks[0].kind == "string"
-    assert toks[0].text == 'ab"c\\d'
-
-
-def test_unterminated_string():
-    with pytest.raises(LexError):
-        tokenize('"abc')
-    with pytest.raises(LexError):
-        tokenize('"abc\ndef"')
-
-
 def test_non_ascii_rejected_at_exact_byte():
     with pytest.raises(LexError) as err:
         tokenize("qc(é)")
     assert err.value.span.start == 3
+
+
+def test_a_quote_is_a_lex_error():
+    # the language has no string literals
     with pytest.raises(LexError) as err:
-        tokenize('"é"')
-    assert err.value.span.start == 1
+        tokenize('qc("a")')
+    assert err.value.span.start == 3
 
 
 def test_spans_count_bytes_not_chars():
@@ -412,11 +403,8 @@ def test_build_depth_handling():
     assert run_one("build({k})", session).value.depth == 1
     assert run_one("build({k}, 0)", session).value.depth == 0
 
-    forced = fresh(depth_override=0)
+    forced = fresh(depth=0)
     assert run_one("build({k}, 2)", forced).value.depth == 0
-
-    deeper_default = fresh(default_depth=2)
-    assert run_one("build({k})", deeper_default).value.elements.qcard > 5
 
 
 def test_check_statements_record_results():

@@ -718,6 +718,27 @@ def test_replay_does_not_call_build_fragment(monkeypatch):
     assert replay_ledger(frag.ledger, frag.caps) == frag.elements
 
 
+def test_replay_stops_at_the_first_divergent_entry(monkeypatch):
+    # the seed swapped for {zz} makes round 1's first power differ; the 20
+    # extra rounds listed after it must never be grown
+    rounds = []
+
+    class CountingParts(universe_module.Parts):
+        def __init__(self, universe):
+            rounds.append(universe)
+            super().__init__(universe)
+
+    seeds, depth, caps, _ = LEDGER_PINS[2]
+    ledger = list(build_fragment(seeds, depth, caps).ledger)
+    assert ledger[0].op == "seed"
+    ledger[0] = dataclasses.replace(ledger[0], result=QSet([CAtom("zz")]))
+    ledger += [LedgerEntry(op="round", count=depth + r) for r in range(1, 21)]
+    monkeypatch.setattr(universe_module, "Parts", CountingParts)
+    with pytest.raises(ValueError, match="entry 2"):
+        replay_ledger(ledger, caps)
+    assert len(rounds) <= 1
+
+
 def test_replay_builds_every_result_find_looks_up(monkeypatch):
     # a find that answers every union with the first member it can: build
     # trusts it past the fill point, replay must build the union and refuse
