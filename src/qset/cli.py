@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from . import _json
 from .errors import ParseError, QsetError
 from .gen import StructureGen
 from .lang.eval import Outcome, Session, render, run_program, run_statements
@@ -22,6 +23,18 @@ from .morphism import LawReport, check_category_laws
 from .universe import SECTIONS, BuildCaps, ClosureReport, Fragment, check_qED
 
 __all__ = ["main", "build_arg_parser"]
+
+
+def _count(text: str) -> int:
+    """An argparse type for counts: anything but a non-negative integer
+    is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer, got %r" % text)
+    return n
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -36,11 +49,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default: text)")
         if caps:
-            p.add_argument("--cap-power", type=int, default=None, metavar="N",
+            p.add_argument("--cap-power", type=_count, default=None, metavar="N",
                            help="refuse power computations past qcard N")
-            p.add_argument("--cap-product", type=int, default=None, metavar="N",
+            p.add_argument("--cap-product", type=_count, default=None, metavar="N",
                            help="refuse product computations past qcard N")
-            p.add_argument("--depth", type=int, default=None, metavar="D",
+            p.add_argument("--depth", type=_count, default=None, metavar="D",
                            help="force every build to depth D")
 
     p_eval = sub.add_parser("eval", help="run a script file ('-' for stdin)")
@@ -55,7 +68,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(p_audit)
 
     p_laws = sub.add_parser("laws", help="sweep identity/associativity laws on generated morphisms")
-    p_laws.add_argument("--samples", type=int, default=100, metavar="N",
+    p_laws.add_argument("--samples", type=_count, default=100, metavar="N",
                         help="number of generated quasi-functions (default: 100)")
     common(p_laws, caps=False)
     p_laws.add_argument("--seed", type=int, default=0,
@@ -156,7 +169,7 @@ def _json_value(value):
 
 
 def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2))
+    sys.stdout.write(_json.dumps(doc))
     sys.stdout.write("\n")
 
 

@@ -13,11 +13,11 @@ indistinguishable arguments to indistinguishable values.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from . import _json
 from .errors import InvalidQuasiFunction, NotComposable
 from .kernel import ElementDesc, PrimPair, QSet, canonical_text
 
@@ -139,7 +139,7 @@ class LawReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return _json.dumps(self.to_dict())
 
 
 def check_category_laws(

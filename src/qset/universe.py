@@ -22,20 +22,18 @@ closure.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence, Union
 
-from . import algebra
+from . import _json, algebra
 from .errors import CapExceeded, EmptyUniverse
 from .kernel import (
     AtomRef,
     ElementDesc,
     PrimPair,
     QSet,
-    canonical_text,
     canonicalize,
 )
 from .morphism import CategoryPresentation
@@ -314,9 +312,9 @@ class LedgerEntry:
             d["count"] = self.count
             return d
         if self.args:
-            d["args"] = [canonical_text(a) for a in self.args]
+            d["args"] = [a.text for a in self.args]
         if self.result is not None:
-            d["result"] = canonical_text(self.result)
+            d["result"] = self.result.text
         if self.op == "seed":
             d["count"] = self.count
         if self.cutoff is not None:
@@ -365,16 +363,20 @@ class Fragment:
         return members
 
     def to_dict(self) -> dict:
+        elements, rank = [], {}
+        for d, n in self.elements.classes():
+            elements.append([d.text, n])
+            rank[d.text] = d.depth
         return {
             "schema": "qset/2",
-            "elements": [[canonical_text(d), n] for d, n in self.elements.classes()],
-            "rank": {canonical_text(d): r for d, r in self.rank.items()},
+            "elements": elements,
+            "rank": rank,
             "depth": self.depth,
             "ledger": [e.to_dict() for e in self.ledger],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return _json.dumps(self.to_dict())
 
 
 def _seed_members(seeds) -> QSet:
@@ -513,8 +515,8 @@ class Defect:
         d = {
             "condition": self.condition,
             "operation": self.operation,
-            "witnesses": [canonical_text(w) for w in self.witnesses],
-            "missing": None if self.missing is None else canonical_text(self.missing),
+            "witnesses": [w.text for w in self.witnesses],
+            "missing": None if self.missing is None else self.missing.text,
         }
         if self.note:
             d["note"] = self.note
@@ -538,13 +540,13 @@ class ClosureReport:
     def to_dict(self) -> dict:
         return {
             "schema": "qset/1",
-            "elements": [[canonical_text(d), n] for d, n in self.elements.classes()],
+            "elements": [[d.text, n] for d, n in self.elements.classes()],
             "defects": {s: [d.to_dict() for d in getattr(self, s)] for s in SECTIONS},
             "totals": self.totals,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return _json.dumps(self.to_dict())
 
 
 def _as_universe(u: Union[QSet, Fragment]) -> QSet:

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour, mostly via subprocesses."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,9 +18,10 @@ from qset.lang.eval import _HANDLERS
 from qset.lang.lexer import KEYWORDS
 
 PRELUDE = "kind K\nmatoms k: K^5\ncatom A\n"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_cli(*argv, stdin_text=None):
+def run_cli(*argv, stdin_text=None, cwd=None):
     env = dict(os.environ)
     env.setdefault("QSET_COLOR", "0")
     return subprocess.run(
@@ -28,6 +30,7 @@ def run_cli(*argv, stdin_text=None):
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
         timeout=120,
     )
 
@@ -172,6 +175,24 @@ def test_cap_flags_bound_evaluation(tmp_path):
     assert "power" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("laws", "--samples", "-1"),
+        ("eval", "demos/universe.qst", "--depth", "-1"),
+        ("audit", "demos/universe.qst", "--cap-power", "-1"),
+        ("audit", "demos/universe.qst", "--cap-product", "-1"),
+    ],
+    ids=["samples", "depth", "cap-power", "cap-product"],
+)
+def test_negative_counts_are_usage_errors(argv):
+    proc = run_cli(*argv, cwd=ROOT)
+    assert proc.returncode == 2
+    assert "must be a non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 # -- audit ---------------------------------------------------------------
 
 
@@ -247,7 +268,7 @@ def test_laws_seed_is_embedded():
 
 
 def test_demo_scripts_run_clean():
-    demo_dir = pathlib.Path(__file__).resolve().parent.parent / "demos"
+    demo_dir = ROOT / "demos"
     demos = sorted(demo_dir.glob("*.qst"))
     assert len(demos) == 3
     for demo in demos:
@@ -256,6 +277,34 @@ def test_demo_scripts_run_clean():
     proc = run_cli("audit", str(demo_dir / "universe.qst"))
     assert proc.returncode == 0
     assert "sound: yes" in proc.stdout
+
+
+# The sha256 of each command's stdout as written by the stdlib's
+# ``json.dumps`` with an indent of 2, so the pins hold the package's own
+# writer to the stdlib's bytes.  The file is in ``sha256sum`` format, so CI
+# checks the installed entry point against the same digests.
+JSON_COMMANDS = {
+    "eval_powerset.json": ("eval", "demos/powerset.qst", "--format", "json"),
+    "eval_universe.json": ("eval", "demos/universe.qst", "--format", "json"),
+    "audit_universe.json": ("audit", "demos/universe.qst", "--format", "json"),
+    "laws_50_0.json": ("laws", "--samples", "50", "--seed", "0", "--format", "json"),
+}
+
+
+def json_pins() -> dict:
+    text = (ROOT / "tests" / "cli_json.sha256").read_text()
+    return {name: digest for digest, name in (line.split() for line in text.splitlines())}
+
+
+def test_json_pins_name_exactly_the_pinned_commands():
+    assert sorted(json_pins()) == sorted(JSON_COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
+def test_json_output_is_pinned(name):
+    proc = run_cli(*JSON_COMMANDS[name], cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == json_pins()[name]
 
 
 # -- repl ----------------------------------------------------------------
