@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import CapExceeded, NonClassicalIndex, NotInUniverse
 from .kernel import ElementDesc, PrimPair, QSet, as_descriptor, canonical_text
@@ -48,16 +48,17 @@ def power(x: QSet, *, cap: int = POWER_QCARD_CAP) -> QSet:
     if x.qcard > cap:
         raise CapExceeded("power operand has qcard %d, cap is %d" % (x.qcard, cap))
     classes = list(x.classes())
-    members: list[tuple[QSet, int]] = []
+    # distinct picks are distinct sub-quasi-sets, so no member repeats
+    members: dict[QSet, int] = {}
     for picks in itertools.product(*(range(n + 1) for _, n in classes)):
         mult = 1
-        chosen = []
+        chosen = {}
         for (desc, n), k in zip(classes, picks):
             mult *= math.comb(n, k)
             if k:
-                chosen.append((desc, k))
-        members.append((QSet(chosen), mult))
-    return QSet(members)
+                chosen[desc] = k
+        members[QSet._of(chosen)] = mult
+    return QSet._of(members)
 
 
 def singleton_in(x, universe: QSet) -> QSet:
@@ -67,7 +68,7 @@ def singleton_in(x, universe: QSet) -> QSet:
     n = universe.count(desc)
     if n == 0:
         raise NotInUniverse("%s is not an element of the universe" % canonical_text(desc))
-    return QSet([(desc, n)])
+    return QSet._of({desc: n})
 
 
 def pair_in(x, y, universe: QSet) -> QSet:
@@ -87,23 +88,35 @@ def opair_in(x, y, universe: QSet) -> QSet:
 def opair_from(single: QSet, pair: QSet) -> QSet:
     """The ordered pair {single, pair} from its two parts: the class of x
     and the pair of x and y.  Equal parts collapse to one member."""
+    if not isinstance(single, QSet) or not isinstance(pair, QSet):
+        raise TypeError("opair_from is defined on quasi-sets")
     if single == pair:
-        return QSet([single])
-    return QSet([single, pair])
+        return QSet._of({single: 1})
+    return QSet._of({single: 1, pair: 1})
 
 
-def product(x: QSet, y: QSet, *, cap: int = PRODUCT_QCARD_CAP) -> QSet:
-    """Cartesian product: primitive pairs of classes, counts multiplied."""
+def product(
+    x: QSet,
+    y: QSet,
+    *,
+    cap: int = PRODUCT_QCARD_CAP,
+    pair: Callable[[ElementDesc, ElementDesc], PrimPair] = PrimPair,
+) -> QSet:
+    """Cartesian product: primitive pairs of classes, counts multiplied.
+
+    ``pair(a, b)`` makes the primitive pair of two classes.  It defaults
+    to ``PrimPair``; a caller that takes many products over one universe
+    passes a lookup that returns one shared pair per ``(a, b)``
+    (``Parts.prim_pair``).  A pair depends only on its components, so
+    the result is the same value either way.
+    """
     if not isinstance(x, QSet) or not isinstance(y, QSet):
         raise TypeError("product is defined on quasi-sets")
     size = x.qcard * y.qcard
     if size > cap:
         raise CapExceeded("product result would have qcard %d, cap is %d" % (size, cap))
-    return QSet(
-        (PrimPair(a, b), na * nb)
-        for a, na in x.classes()
-        for b, nb in y.classes()
-    )
+    # distinct class pairs are distinct primitive pairs, so no key repeats
+    return QSet._of({pair(a, b): na * nb for a, na in x.classes() for b, nb in y.classes()})
 
 
 def union(x: QSet, y: QSet) -> QSet:
@@ -114,7 +127,7 @@ def union(x: QSet, y: QSet) -> QSet:
     for desc, n in y.classes():
         if counts.get(desc, 0) < n:
             counts[desc] = n
-    return QSet(counts.items())
+    return QSet._of(counts)
 
 
 @dataclass(frozen=True, eq=True)

@@ -27,6 +27,14 @@ bottom-up from already-canonical parts, which makes membership
 well-founded by construction; a value can never occur among its own
 hereditary elements because nesting depth strictly decreases.
 
+``QSet(...)`` checks every entry it is given.  The values the algebra
+builds already consist of canonical descriptors with counts of at least
+1, so ``algebra`` and ``universe`` build them with the private
+``QSet._of(counts)``, which trusts its dict and takes ownership of it.
+Both ways end in the same sealing step, ``QSet._seal``, which orders
+the classes and computes the text, key, qcard, depth, classical flag
+and hash.
+
 M-atom labels exist only inside "labeled builds": plain Python lists
 (for collections) containing MAtom/CAtom leaves and RawPair nodes.
 ``canonicalize`` forgets the labels, counting distinct labels per kind;
@@ -220,10 +228,29 @@ class QSet:
                 raise TypeError("cannot place %r in a quasi-set" % (elem,))
         for kind, seen in labels.items():
             counts[kind] = counts.get(kind, 0) + len(seen)
+        self._seal(counts)
 
+    @classmethod
+    def _of(cls, counts: dict) -> "QSet":
+        """The quasi-set with exactly these classes, built without
+        checking them.
+
+        For trusted internal callers only (``algebra`` and ``universe``):
+        every key of ``counts`` must already be a canonical descriptor
+        (Kind, CAtom, QSet or PrimPair) and every count an int of at
+        least 1, at most 1 for a CAtom.  The value takes ownership of
+        the dict, so the caller passes a fresh one and never mutates it
+        afterwards.
+        """
+        self = object.__new__(cls)
+        self._seal(counts)
+        return self
+
+    def _seal(self, counts: dict) -> None:
+        # the one place a QSet's cached attributes are computed from its classes
         self._items = items = tuple(sorted(counts.items(), key=_class_key))
         self._counts = counts
-        self._text = text = "{%s}" % ", ".join(d.text if n == 1 else "%s^%d" % (d.text, n) for d, n in items)
+        self._text = text = "{%s}" % ", ".join([d.text if n == 1 else "%s^%d" % (d.text, n) for d, n in items])
         self._key = (2, text)
         self._qcard = sum(counts.values())
         self._depth = 1 + max([d.depth for d in counts]) if counts else 0

@@ -107,20 +107,23 @@ class Parts:
     """A universe and the constructor parts built against it so far.
 
     The relative constructors are made of class singletons and pairs,
-    and an audit also unions families whose entry sets repeat.  A caller
-    that applies many constructors to one fixed universe (a build or
-    replay round, an audit) keeps one ``Parts`` and builds each part
-    once; the parts go when it does.  Every part depends only on its key
-    and the universe, and values are immutable, so a shared part is
-    exactly the value a fresh call would build.
+    products over member pairs repeat the primitive pairs of member
+    classes, and an audit also unions families whose entry sets repeat.
+    A caller that applies many constructors to one fixed universe (a
+    build or replay round, an audit) keeps one ``Parts`` and builds each
+    part once; the parts go when it does.  Every part depends only on
+    its key and the universe, a primitive pair only on its two
+    components, and values are immutable, so a shared part is exactly
+    the value a fresh call would build.
     """
 
-    __slots__ = ("universe", "_singletons", "_pairs", "_unions")
+    __slots__ = ("universe", "_singletons", "_pairs", "_prim_pairs", "_unions")
 
     def __init__(self, universe: QSet):
         self.universe = universe
         self._singletons: dict = {}
         self._pairs: dict[frozenset, QSet] = {}
+        self._prim_pairs: dict[tuple, PrimPair] = {}
         self._unions: dict[frozenset, QSet] = {}
 
     def singleton(self, x) -> QSet:
@@ -141,6 +144,13 @@ class Parts:
     def opair(self, x, y) -> QSet:
         # exact: opair_in(x, y, u) is opair_from of x's singleton and the pair of x and y
         return algebra.opair_from(self.singleton(x), self.pair(x, y))
+
+    def prim_pair(self, a, b) -> PrimPair:
+        # exact: PrimPair(a, b) reads only a and b, so (a, b) keys it
+        p = self._prim_pairs.get((a, b))
+        if p is None:
+            p = self._prim_pairs[a, b] = PrimPair(a, b)
+        return p
 
     def family_union(self, index: Sequence[ElementDesc], entries: Sequence[QSet]) -> QSet:
         """The union of the family taking ``index[i]`` to ``entries[i]``."""
@@ -266,7 +276,8 @@ CONSTRUCTORS = (
                 _find_union),
     Constructor("product", "cond3", 2, True, False, False,
                 lambda a, caps: "product-cap" if a[0].qcard * a[1].qcard > caps.product_qcard else None,
-                lambda a, parts, caps: algebra.product(*a, cap=caps.product_qcard),
+                lambda a, parts, caps: algebra.product(
+                    *a, cap=caps.product_qcard, pair=PrimPair if parts is None else parts.prim_pair),
                 _find_product),
     Constructor("pair", "theorem1", 2, False, True, True, _uncapped,
                 lambda a, parts, caps: parts.pair(*a),
@@ -433,7 +444,7 @@ def _grow(members: dict[ElementDesc, int], depth: int, caps: BuildCaps, rederive
 
     for r in range(1, depth + 1):
         yield LedgerEntry(op="round", count=r)
-        snapshot = QSet(members.items())
+        snapshot = QSet._of(dict(members))
         parts = Parts(snapshot)
         ordered = [d for d, _ in snapshot.classes()]
         for row in CONSTRUCTORS:
@@ -573,10 +584,11 @@ def check_qED(
 
     The checks share one ``Parts`` for the audit: each member's class
     singleton and each unordered member pair is built once, and feeds
-    the singleton, pair and opair checks alike; each family union is
-    built once per set of entries.  The universe is fixed while the audit
-    runs, so a shared part equals what building it again would give, and
-    the report is the same as if every check built its own.
+    the singleton, pair and opair checks alike; each primitive pair of
+    member classes is built once for all the products; each family union
+    is built once per set of entries.  The universe is fixed while the
+    audit runs, so a shared part equals what building it again would
+    give, and the report is the same as if every check built its own.
     """
     universe = _as_universe(u)
     if universe.qcard == 0:

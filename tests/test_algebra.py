@@ -27,7 +27,9 @@ from qset import (
     singleton_in,
     union,
 )
+from qset.algebra import opair_from
 from qset.gen import StructureGen, flat_qsets
+from qset.universe import Parts
 
 K = Kind("K")
 J = Kind("J")
@@ -297,6 +299,47 @@ def test_family_from_pairs_rejects_conflicts():
 def test_family_from_pairs_rejects_non_qset_entries():
     with pytest.raises(TypeError):
         family_from_pairs(QSet([PrimPair(A1, A2)]))
+
+
+# -- values built without entry checks ----------------------------------
+
+
+def _assert_validated_twin(r):
+    # r, and each quasi-set class of it, equals the value QSet() builds from its classes
+    twin = QSet(list(r.classes()))
+    seen = (r.text, r.key, hash(r), r.qcard, r.depth, r.is_classical, list(r.classes()))
+    assert seen == (twin.text, twin.key, hash(twin), twin.qcard, twin.depth, twin.is_classical, list(twin.classes()))
+    assert r == twin
+    for d, _ in r.classes():
+        if isinstance(d, QSet):
+            _assert_validated_twin(d)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_algebra_results_equal_validated_construction(sx, sy, su, pick):
+    x = StructureGen(sx).qset(max_qcard=4, max_depth=2)
+    y = StructureGen(sy).qset(max_qcard=4, max_depth=2)
+    u = union(StructureGen(su).qset(max_qcard=5, max_depth=2), QSet([x, y]))
+    members = [d for d, _ in u.classes()]
+    a = members[pick % len(members)]
+    b = members[pick // len(members) % len(members)]
+    results = [
+        power(x),
+        product(x, y),
+        union(x, y),
+        singleton_in(a, u),
+        pair_in(a, b, u),
+        opair_in(a, b, u),
+        opair_from(singleton_in(a, u), pair_in(a, b, u)),
+    ]
+    for r in results:
+        _assert_validated_twin(r)
+    shared = Parts(u).prim_pair
+    for p, q in ((x, y), (y, x), (x, x)):
+        r = product(p, q, pair=shared)
+        _assert_validated_twin(r)
+        assert list(r.classes()) == list(product(p, q).classes())
 
 
 # -- equivariance of the algebra ---------------------------------------

@@ -794,6 +794,7 @@ def test_audit_reports_are_pinned(seeds, depth, caps, digest):
 def test_audit_builds_each_part_once(monkeypatch):
     singletons = []
     unions = []
+    prim_pairs = []
 
     def recording(calls, fn):
         def wrapped(*args, **kwargs):
@@ -804,12 +805,20 @@ def test_audit_builds_each_part_once(monkeypatch):
     frag = build_fragment([qs((K, 1)), qs((J, 2)), A1, A2], 1)
     monkeypatch.setattr(algebra, "singleton_in", recording(singletons, algebra.singleton_in))
     monkeypatch.setattr(algebra, "family_union", recording(unions, algebra.family_union))
+    monkeypatch.setattr(PrimPair, "__init__", recording(prim_pairs, PrimPair.__init__))
     report = check_qED(frag, caps=frag.caps)
     monkeypatch.undo()
     assert report.theorem1 and report.totals["cond4_checked"] > 0
-    assert len(singletons) <= frag.elements.distinct_classes()
+    assert 0 < len(singletons) <= frag.elements.distinct_classes()
     entry_sets = [frozenset(family.entries.values()) for (family,) in unions]
-    assert len(entry_sets) == len(set(entry_sets))
+    assert entry_sets and len(entry_sets) == len(set(entry_sets))
+    # each primitive pair of the cond3 products is built once, whatever products share it
+    qsets = [d for d, _ in frag.elements.classes() if isinstance(d, QSet)]
+    products = [(x, y) for x in qsets for y in qsets if x.qcard * y.qcard <= frag.caps.product_qcard]
+    product_pairs = {(a, b) for x, y in products for a, _ in x.classes() for b, _ in y.classes()}
+    assert len(product_pairs) < sum(x.distinct_classes() * y.distinct_classes() for x, y in products)
+    components = [args[1:] for args in prim_pairs]
+    assert 0 < len(components) == len(set(components)) <= len(product_pairs)
 
 
 def test_audit_rejects_empty_universe():
