@@ -8,8 +8,8 @@ a cutoff rather than silently dropped: a power or product cap refusal
 as one entry, the member cap's misses as one count per round and
 constructor.  Replay grows the ledger's seeds again with the same round
 sweep, requires the ledger to be exactly the one build writes, and
-builds every result build looked up, so a ledger that replays
-reproduces the fragment's exact element multiset.
+builds every member that build listed as a hit past the member cap, so
+a ledger that replays reproduces the fragment's exact element multiset.
 
 ``check_qED`` audits how far a fragment is from being closed: for each
 closure condition it records the member combinations whose required
@@ -75,10 +75,10 @@ class Constructor:
     ``collections``, y never before x if ``unordered``.  A ``relative``
     constructor also reads the universe, through the ``Parts`` that
     ``apply`` takes.  ``cap`` returns the cutoff reason when the caps
-    refuse the operands, else None.  ``find`` is
-    the membership test: it returns the member of a ``MemberIndex``
-    equal to what ``apply`` would return, or None when no member is,
-    and builds no value on the way.
+    refuse the operands, else None; it reads only the operands' qcards.
+    ``hits(pool, universe, index)`` maps every operand tuple of the
+    row's sweep over ``pool`` whose result is a member of a
+    ``MemberIndex`` to that member, and builds no value on the way.
     """
 
     name: str
@@ -89,11 +89,15 @@ class Constructor:
     relative: bool
     cap: Callable[[tuple, BuildCaps], str | None]
     apply: Callable[[tuple, "Parts | None", BuildCaps], QSet]
-    find: Callable[[tuple, QSet | None, "MemberIndex"], QSet | None]
+    hits: Callable[[list, QSet, "MemberIndex"], dict[tuple, QSet]]
+
+    def pool(self, members: list) -> list:
+        """The members an operand may be, in ``members``' order."""
+        return [m for m in members if isinstance(m, QSet)] if self.collections else members
 
     def operands(self, members: list):
         """Every operand tuple drawn from ``members``, first operand outermost."""
-        pool = [m for m in members if isinstance(m, QSet)] if self.collections else members
+        pool = self.pool(members)
         if self.unordered:
             return itertools.combinations_with_replacement(pool, self.arity)
         return itertools.product(pool, repeat=self.arity)
@@ -165,100 +169,154 @@ class Parts:
 
 
 class MemberIndex:
-    """The quasi-set members of a full fragment, keyed for ``find``.
+    """The quasi-set members of a full fragment, keyed for ``hits``.
 
     ``by_classes`` keys each member by the frozenset of its
-    ``(descriptor, count)`` classes.  Two quasi-sets are equal exactly
-    when those sets are, so a ``find`` that derives the same set from
-    its operands gets the equal member without building the result.
-    ``by_opair`` keys members of count-1 quasi-sets by the set of their
-    classes' sets.  ``by_product`` (full rectangles of pairs, by their
-    first and second components) and ``by_power`` (by the one class of
-    greatest qcard) hold candidates that ``find`` then checks.
+    ``(descriptor, count)`` classes; two quasi-sets are equal exactly
+    when those sets are.  ``classwise`` maps each member's descriptors
+    to their counts and a bit each, and ``by_class`` lists the members
+    that hold each descriptor.  ``by_product`` lists each member that is
+    a product of nonempty quasi-sets: the gcd g of its counts, and its
+    two factors' classes with counts that any gx * gy == g scales back.
     """
 
-    __slots__ = ("by_classes", "by_opair", "by_product", "by_power")
+    __slots__ = ("by_classes", "classwise", "by_class", "by_product")
 
     def __init__(self, members: Iterable[ElementDesc]):
         self.by_classes: dict[frozenset, QSet] = {}
-        self.by_opair: dict[frozenset, QSet] = {}
-        self.by_product: dict[tuple, list[QSet]] = {}
-        self.by_power: dict[QSet, list[QSet]] = {}
+        self.classwise: dict[QSet, dict[ElementDesc, tuple[int, int]]] = {}
+        self.by_class: dict[ElementDesc, list[QSet]] = {}
+        self.by_product: list[tuple[list, list, int, QSet]] = []
         for m in members:
             if not isinstance(m, QSet):
                 continue
             classes = list(m.classes())
             self.by_classes[frozenset(classes)] = m
-            if not classes:
-                continue
-            if all(isinstance(d, QSet) for d, _ in classes):
-                if all(n == 1 for _, n in classes):
-                    self.by_opair[frozenset(frozenset(d.classes()) for d, _ in classes)] = m
-                # power(x) holds x once and every other class below x's qcard
-                top = max(d.qcard for d, _ in classes)
-                tops = [d for d, _ in classes if d.qcard == top]
-                if len(tops) == 1:
-                    self.by_power.setdefault(tops[0], []).append(m)
-            elif all(isinstance(d, PrimPair) for d, _ in classes):
-                firsts = frozenset(d.first for d, _ in classes)
-                seconds = frozenset(d.second for d, _ in classes)
-                if len(classes) == len(firsts) * len(seconds):
-                    self.by_product.setdefault((firsts, seconds), []).append(m)
+            counts = self.classwise[m] = {}
+            for i, (d, n) in enumerate(classes):
+                counts[d] = (n, 1 << i)
+                self.by_class.setdefault(d, []).append(m)
+            # pairs order last, so m holds only pairs when its first class is one; product(x, y)
+            # counts <a, b> x.count(a) * y.count(b), so its rows' gcds are x's counts times g / gx
+            if classes and isinstance(classes[0][0], PrimPair):
+                rows: dict = {}
+                cols: dict = {}
+                for p, n in classes:
+                    rows[p.first] = math.gcd(rows.get(p.first, 0), n)
+                    cols[p.second] = math.gcd(cols.get(p.second, 0), n)
+                g = math.gcd(*rows.values())
+                if len(classes) == len(rows) * len(cols) and all(
+                    n * g == rows[p.first] * cols[p.second] for p, n in classes
+                ):
+                    xs = [(a, n // g) for a, n in rows.items()]
+                    ys = [(b, n // g) for b, n in cols.items()]
+                    self.by_product.append((xs, ys, g, m))
 
 
-def _find_power(args, universe, index):
-    # exact: prod(n + 1) distinct classes, each a pick from x counted prod C(n, k), are all of power(x)
-    (x,) = args
-    picks = math.prod(n + 1 for _, n in x.classes())
-    for m in index.by_power.get(x, ()):
-        if m.distinct_classes() == picks and all(
-            n == math.prod(math.comb(x.count(d), k) for d, k in sub.classes()) for sub, n in m.classes()
-        ):
-            return m
-    return None
+def _hits_power(pool, universe, index):
+    # exact: power(x) holds x once, and prod(n + 1) distinct classes, each a pick from x counted
+    # prod C(n, k), are all of it
+    hits = {}
+    for x in pool:
+        picks = math.prod(n + 1 for _, n in x.classes())
+        for m in index.by_class.get(x, ()):
+            if m.distinct_classes() == picks and all(
+                isinstance(sub, QSet) and n == math.prod(math.comb(x.count(d), k) for d, k in sub.classes())
+                for sub, n in m.classes()
+            ):
+                hits[(x,)] = m
+                break
+    return hits
 
 
-def _find_singleton(args, universe, index):
+def _hits_singleton(pool, universe, index):
     # exact: singleton_in(x, u) is the one class (x, u.count(x))
-    (x,) = args
-    return index.by_classes.get(frozenset(((x, universe.count(x)),)))
+    hits = {}
+    for x in pool:
+        m = index.by_classes.get(frozenset(((x, universe.count(x)),)))
+        if m is not None:
+            hits[(x,)] = m
+    return hits
 
 
-def _find_union(args, universe, index):
-    # exact: union is the classwise maximum of counts, merged here on a dict
-    x, y = args
-    counts = dict(x.classes())
-    for d, n in y.classes():
-        if counts.get(d, 0) < n:
-            counts[d] = n
-    return index.by_classes.get(frozenset(counts.items()))
+def _hits_union(pool, universe, index):
+    # exact: union is the classwise maximum of counts, so union(x, y) is m exactly when x and y
+    # lie classwise under m and each class of m is at its full count in x or in y
+    under: dict[QSet, dict[int, list[int]]] = {}  # m -> {mask of m's classes at full count: x's positions}
+    for i, x in enumerate(pool):
+        # the members above x hold every class of x, and those holding its rarest class are the
+        # fewest to try; {} lies under every member
+        classes = sorted(x.classes(), key=lambda c: len(index.by_class.get(c[0], ())))
+        for m in index.by_class.get(classes[0][0], ()) if classes else index.classwise:
+            counts = index.classwise[m]
+            mask = 0
+            for d, n in classes:
+                nb = counts.get(d)
+                if nb is None or nb[0] < n:
+                    break
+                if nb[0] == n:
+                    mask |= nb[1]
+            else:
+                under.setdefault(m, {}).setdefault(mask, []).append(i)
+    hits = {}
+    for m, groups in under.items():
+        full = (1 << m.distinct_classes()) - 1
+        for a, b in itertools.combinations_with_replacement(sorted(groups), 2):
+            if a | b == full:  # a == b only for m itself
+                for i in groups[a]:
+                    for j in groups[b]:
+                        hits[(pool[i], pool[j]) if i <= j else (pool[j], pool[i])] = m
+    return hits
 
 
-def _find_product(args, universe, index):
-    # exact: a full rectangle of pairs <a, b> over x and y, each counted x.count(a) * y.count(b), is product(x, y)
-    x, y = args
-    if not x.distinct_classes() or not y.distinct_classes():
-        return index.by_classes.get(frozenset())
-    key = (frozenset(d for d, _ in x.classes()), frozenset(d for d, _ in y.classes()))
-    for m in index.by_product.get(key, ()):
-        if all(n == x.count(p.first) * y.count(p.second) for p, n in m.classes()):
-            return m
-    return None
+def _hits_product(pool, universe, index):
+    # exact: product(x, y) is {} when x or y is, else the full rectangle of pairs <a, b>, each counted
+    # x.count(a) * y.count(b): m when x and y are m's two factors, scaled by numbers whose product is m's gcd
+    hits = {}
+    for x in pool:
+        if not x:
+            for y in pool:
+                hits[x, y] = hits[y, x] = x
+    for xs, ys, g, m in index.by_product:
+        for gx in range(1, g + 1):
+            if g % gx:
+                continue
+            x = index.by_classes.get(frozenset([(a, n * gx) for a, n in xs]))
+            y = index.by_classes.get(frozenset([(b, n * (g // gx)) for b, n in ys]))
+            if x is not None and y is not None and universe.count(x) and universe.count(y):
+                hits[x, y] = m
+    return hits
 
 
-def _find_pair(args, universe, index):
-    # exact: pair_in is the classes (x, u.count(x)) and (y, u.count(y)), which the set merges when x == y
-    x, y = args
-    return index.by_classes.get(frozenset(((x, universe.count(x)), (y, universe.count(y)))))
+def _hits_pair(pool, universe, index):
+    # exact: pair_in is the classes (x, u.count(x)) and (y, u.count(y)), one class when x == y
+    hits = {}
+    for classes, m in index.by_classes.items():
+        if 0 < len(classes) <= 2:
+            for d, n in classes:
+                if universe.count(d) != n:
+                    break
+            else:
+                ds = [d for d, _ in m.classes()]
+                hits[ds[0], ds[-1]] = m
+    return hits
 
 
-def _find_opair(args, universe, index):
-    # exact: opair_in is {sing(x), pair(x, y)} once each, keyed by their class sets; one class when x == y
-    x, y = args
-    sx = (x, universe.count(x))
-    single = frozenset((sx,))
-    pair = frozenset((sx, (y, universe.count(y))))
-    return index.by_opair.get(frozenset((single, pair)))
+def _hits_opair(pool, universe, index):
+    # exact: opair_in is {s, p} once each, s = {x^u.count(x)} and p = pair_in(x, y); {s} when x == y
+    hits = {}
+    for classes, m in index.by_classes.items():
+        if not 0 < len(classes) <= 2 or m.qcard != len(classes):
+            continue
+        single = [d for d, _ in classes if isinstance(d, QSet) and d.distinct_classes() == 1]
+        pair = [d for d, _ in classes if isinstance(d, QSet) and d.distinct_classes() == len(classes)]
+        if len(single) == len(pair) == 1:
+            ((x, n),) = single[0].classes()
+            if universe.count(x) == n == pair[0].count(x):
+                ((y, ny),) = [c for c in pair[0].classes() if c[0] != x] or [(x, n)]
+                if universe.count(y) == ny:
+                    hits[x, y] = m
+    return hits
 
 
 # Table order is build order.  Rows look algebra's functions up at call
@@ -267,24 +325,24 @@ CONSTRUCTORS = (
     Constructor("power", "cond1", 1, True, False, False,
                 lambda a, caps: "power-cap" if a[0].qcard > caps.power_qcard else None,
                 lambda a, parts, caps: algebra.power(*a, cap=caps.power_qcard),
-                _find_power),
+                _hits_power),
     Constructor("singleton", "cond2", 1, False, False, True, _uncapped,
                 lambda a, parts, caps: parts.singleton(*a),
-                _find_singleton),
+                _hits_singleton),
     Constructor("union", "theorem1", 2, True, True, False, _uncapped,
                 lambda a, parts, caps: algebra.union(*a),
-                _find_union),
+                _hits_union),
     Constructor("product", "cond3", 2, True, False, False,
                 lambda a, caps: "product-cap" if a[0].qcard * a[1].qcard > caps.product_qcard else None,
                 lambda a, parts, caps: algebra.product(
                     *a, cap=caps.product_qcard, pair=PrimPair if parts is None else parts.prim_pair),
-                _find_product),
+                _hits_product),
     Constructor("pair", "theorem1", 2, False, True, True, _uncapped,
                 lambda a, parts, caps: parts.pair(*a),
-                _find_pair),
+                _hits_pair),
     Constructor("opair", "theorem1", 2, False, False, True, _uncapped,
                 lambda a, parts, caps: parts.opair(*a),
-                _find_opair),
+                _hits_opair),
 )
 
 # Audit sections in report order; cond4 (family union) has no row.
@@ -410,10 +468,11 @@ def build_fragment(
     caps refuse become cutoff entries in the ledger.
 
     Once the member cap is full the members are final, so results past
-    it are looked up, not computed: each row's ``find`` returns the equal
-    member, listed as a duplicate, or None, a miss.  A row's misses in
-    one round are not listed: one ``member-cap`` summary entry after the
-    row's listed entries of the round counts them.
+    it are not computed: each row's ``hits`` works back from the members
+    to the operand tuples whose result is one, and those are listed as
+    duplicates.  Every other tuple is a miss, never visited.  A row's
+    misses in one round are not listed: one ``member-cap`` summary entry
+    after the row's listed entries of the round counts them.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -430,13 +489,35 @@ def build_fragment(
     return Fragment(elements=QSet(members.items()), ledger=ledger, caps=caps, depth=depth)
 
 
+def _refusals(row: Constructor, pool: list, caps: BuildCaps):
+    """The positions in ``pool`` of each operand tuple of the row's sweep that the caps
+    refuse, with the reason.  A cap reads only the operands' qcards, so one probe per
+    tuple of qcards answers for every operand tuple that has them."""
+    if row.cap is _uncapped:
+        return
+    by_qcard: dict[int, list[int]] = {}
+    for i, x in enumerate(pool):
+        by_qcard.setdefault(x.qcard, []).append(i)
+    for groups in itertools.product(by_qcard.values(), repeat=row.arity):
+        cutoff = row.cap(tuple(pool[g[0]] for g in groups), caps)
+        if cutoff is not None:
+            for at in itertools.product(*groups):
+                if not row.unordered or list(at) == sorted(at):
+                    yield at, cutoff
+
+
 def _grow(members: dict[ElementDesc, int], depth: int, caps: BuildCaps, rederive: bool = False):
     """Yield the ledger of ``depth`` rounds grown from ``members``, the
     seeds' classes, and add each new member to ``members`` as it goes.
 
-    This is the one round sweep, shared by build and replay.  With
-    ``rederive``, every result ``find`` looks up is also built with the
-    row's ``apply``, and a difference raises ValueError.
+    This is the one round sweep, shared by build and replay.  It applies
+    the rows tuple by tuple until the member cap fills.  From there the
+    members are final: the rest of the row, and every later row and
+    round, is written from the cap refusals and the row's ``hits``,
+    merged in sweep order by operand positions, and the tuples neither
+    lists are the row's misses, counted without being visited.  With
+    ``rederive``, each hit is also built with the row's ``apply`` just
+    before its entry is written, and a difference raises ValueError.
     """
     for desc, n in members.items():
         yield LedgerEntry(op="seed", result=desc, count=n)
@@ -448,29 +529,43 @@ def _grow(members: dict[ElementDesc, int], depth: int, caps: BuildCaps, rederive
         parts = Parts(snapshot)
         ordered = [d for d, _ in snapshot.classes()]
         for row in CONSTRUCTORS:
-            misses = 0
-            for args in row.operands(ordered):
-                cutoff = row.cap(args, caps)
-                if cutoff is not None:
-                    yield LedgerEntry(op=row.name, args=args, cutoff=cutoff)
-                elif index is not None:
-                    result = row.find(args, snapshot, index)
-                    if result is None:
-                        misses += 1
-                    elif rederive and row.apply(args, parts, caps) != result:
-                        raise ValueError(
-                            "ledger replay diverged: %s of %s finds %s, apply builds another value"
-                            % (row.name, ", ".join(a.text for a in args), result.text)
-                        )
-                    else:
-                        yield LedgerEntry(op=row.name, args=args, result=result)
-                else:
+            swept = 0
+            filled_at = None
+            if index is None:
+                for args in row.operands(ordered):
+                    swept += 1
+                    cutoff = row.cap(args, caps)
+                    if cutoff is not None:
+                        yield LedgerEntry(op=row.name, args=args, cutoff=cutoff)
+                        continue
                     result = row.apply(args, parts, caps)
+                    yield LedgerEntry(op=row.name, args=args, result=result)
                     if result not in members:
                         members[result] = 1
                         if len(members) >= caps.max_members:
                             index = MemberIndex(members)
-                    yield LedgerEntry(op=row.name, args=args, result=result)
+                            filled_at = args
+                            break
+                else:
+                    continue
+            pool = row.pool(ordered)
+            locate = {x: i for i, x in enumerate(pool)}.__getitem__
+            listed = {tuple(map(locate, a)): (a, r, None) for a, r in row.hits(pool, snapshot, index).items()}
+            for at, cutoff in _refusals(row, pool, caps):
+                listed[at] = (tuple(pool[i] for i in at), None, cutoff)
+            after = tuple(map(locate, filled_at)) if filled_at else ()
+            past = sorted(at for at in listed if at > after)
+            for at in past:
+                args, result, cutoff = listed[at]
+                if rederive and result is not None and row.apply(args, parts, caps) != result:
+                    raise ValueError(
+                        "ledger replay diverged: %s of %s is listed as %s, apply builds another value"
+                        % (row.name, ", ".join(a.text for a in args), result.text)
+                    )
+                yield LedgerEntry(op=row.name, args=args, result=result, cutoff=cutoff)
+            n = len(pool)
+            total = math.comb(n + row.arity - 1, row.arity) if row.unordered else n ** row.arity
+            misses = total - swept - len(past)
             if misses:
                 yield LedgerEntry(op=row.name, count=misses, cutoff=MEMBER_CAP)
 
@@ -482,11 +577,12 @@ def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) 
     the round sweep of ``build_fragment``, and requires the ledger to be,
     entry for entry, the one that build writes; it stops at the first
     entry that differs, without growing the rounds after it.  Past the
-    point where the member cap fills, build looks results up with each
-    row's ``find``; replay also builds each of them with the row's
-    ``apply``.  Any divergence raises ValueError: seeds that build does
-    not take, a result ``find`` and ``apply`` disagree on, or the first
-    entry that differs from what build writes, with its index.
+    point where the member cap fills, build lists the hits of each row's
+    ``hits``; replay also builds each of them with the row's ``apply``,
+    in ledger order, as it reaches its entry.  Any divergence raises
+    ValueError: seeds that build does not take, a hit ``apply`` builds
+    another value for, or the first entry that differs from what build
+    writes, with its index.
     """
     recorded = list(ledger)
     try:

@@ -338,10 +338,14 @@ def test_results_past_the_member_cap_are_exact():
 def test_nothing_is_computed_past_the_member_cap(monkeypatch):
     # A round's applications share parts, so one application can make
     # several algebra calls or none.  Count the rows' applies instead,
-    # and require every algebra call to come from inside one.
+    # and require every algebra call to come from inside one.  Past the
+    # fill point a row lists its hits from one hit map per round: each
+    # round makes one Parts, so log both and require no row's hits to
+    # run twice between two rounds.
     depth = [0]
     applies = [0]
     outside = []
+    log = []
 
     def counting(fn):
         def wrapped(*args):
@@ -360,21 +364,109 @@ def test_nothing_is_computed_past_the_member_cap(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
+    def logged(name, fn):
+        def wrapped(*args):
+            log.append(name)
+            return fn(*args)
+        return wrapped
+
+    class LoggedParts(universe_module.Parts):
+        def __init__(self, universe):
+            log.append("round")
+            super().__init__(universe)
+
     builds = _cap_builds()
-    rows = tuple(dataclasses.replace(row, apply=counting(row.apply)) for row in universe_module.CONSTRUCTORS)
+    rows = tuple(
+        dataclasses.replace(row, apply=counting(row.apply), hits=logged(row.name, row.hits))
+        for row in universe_module.CONSTRUCTORS
+    )
     monkeypatch.setattr(universe_module, "CONSTRUCTORS", rows)
+    monkeypatch.setattr(universe_module, "Parts", LoggedParts)
     for name in ("power", "singleton_in", "union", "product", "pair_in", "opair_in", "opair_from"):
         monkeypatch.setattr(algebra, name, watched(name, getattr(algebra, name)))
-    frags = [build_fragment(*b) for b in builds]
+    frags = []
+    hits_per_build = []
+    for b in builds:
+        del log[:]
+        frags.append(build_fragment(*b))
+        hits_per_build.append(list(log))
     monkeypatch.undo()
     total = 0
-    for frag in frags:
+    for frag, calls in zip(frags, hits_per_build):
         computed, past, _ = _walk_past_the_cap(frag)
         total += computed
         assert any(dups + misses for dups, misses in past.values())
+        rounds = [list(g) for is_round, g in itertools.groupby(calls, lambda c: c == "round") if not is_round]
+        assert rounds, "no hit map past the fill point"
+        for names in rounds:
+            assert len(names) == len(set(names)), names
     # one apply per application before the cap filled, no value built after it
     assert applies[0] == total
     assert outside == []
+
+
+def _hits_past_the_fill(frag, expanded):
+    """What each entry past the fill point of ``frag`` shows: per
+    (op, feature), how many listed results.  ``expanded`` is the ledger
+    ``_walk_past_the_cap`` returns."""
+    cap = frag.caps.max_members
+    members = {}
+    seen = {}
+    universe = {}
+    for entry in expanded:
+        filled = len(members) >= cap
+        if entry.op == "seed":
+            members[entry.result] = entry.count
+        elif entry.op == "round":
+            universe = dict(members)
+            if filled:
+                seen["round", "whole round past the fill point"] = 1
+        elif entry.result is None or entry.cutoff is not None:
+            continue
+        elif not filled:
+            members.setdefault(entry.result, 1)
+        else:
+            features = ["hit"]
+            if entry.op == "product" and QSet() in entry.args:
+                features.append("empty operand")
+            if entry.op in ("pair", "opair") and entry.args[0] == entry.args[1]:
+                features.append("collapsed")
+            if any(universe.get(a, 0) > 1 for a in entry.args):
+                features.append("operand counted above 1")
+            for feature in features:
+                seen[entry.op, feature] = seen.get((entry.op, feature), 0) + 1
+    return seen
+
+
+def test_hit_maps_list_every_member_past_the_cap_on_random_fragments():
+    # StructureGen fragments under small member caps, each of which fills:
+    # every operand tuple past the fill point is recomputed from
+    # qset.algebra, so a hit map that drops a true hit or lists a false
+    # one, or a miss count that is off, fails the walk
+    gen = StructureGen(7)
+    frags = []
+    while len(frags) < 150:
+        cap = gen.rng.randint(6, 18)
+        frag = gen.fragment(max_seeds=4, max_depth=3, caps=BuildCaps(max_members=cap, power_qcard=6, product_qcard=64))
+        if frag.elements.distinct_classes() >= cap:
+            frags.append(frag)
+    seen = {}
+    for frag in frags:
+        _, _, expanded = _walk_past_the_cap(frag)
+        for key, n in _hits_past_the_fill(frag, expanded).items():
+            seen[key] = seen.get(key, 0) + n
+    for op in OPERANDS:
+        assert seen.get((op, "hit")), op
+    for key in [
+        ("product", "empty operand"),
+        ("pair", "collapsed"),
+        ("opair", "collapsed"),
+        ("singleton", "operand counted above 1"),
+        ("pair", "operand counted above 1"),
+        ("opair", "operand counted above 1"),
+        ("round", "whole round past the fill point"),
+    ]:
+        assert seen.get(key), key
 
 
 # sha256 of fixed qset/1 fragment documents, recorded when every
@@ -739,14 +831,16 @@ def test_replay_stops_at_the_first_divergent_entry(monkeypatch):
     assert len(rounds) <= 1
 
 
-def test_replay_builds_every_result_find_looks_up(monkeypatch):
-    # a find that answers every union with the first member it can: build
-    # trusts it past the fill point, replay must build the union and refuse
-    def any_member(args, universe, index):
-        return next(iter(index.by_classes.values()))
+def test_replay_builds_every_result_the_hit_map_lists(monkeypatch):
+    # a union hit map that answers every operand tuple with the first
+    # member it can: build trusts it past the fill point, replay must
+    # build the unions and refuse
+    def any_member(pool, universe, index):
+        member = next(iter(index.by_classes.values()))
+        return dict.fromkeys(itertools.combinations_with_replacement(pool, 2), member)
 
     rows = tuple(
-        dataclasses.replace(row, find=any_member) if row.name == "union" else row
+        dataclasses.replace(row, hits=any_member) if row.name == "union" else row
         for row in universe_module.CONSTRUCTORS
     )
     monkeypatch.setattr(universe_module, "CONSTRUCTORS", rows)
