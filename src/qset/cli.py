@@ -214,8 +214,8 @@ def _run_eval(args) -> int:
 
 
 def _sound(report: ClosureReport) -> bool:
-    # A theorem-1 defect is only acceptable when some primitive closure
-    # defect in conditions 1-4 explains it.
+    # Theorem-1 defects pass once the report has any primitive defect in
+    # conditions 1-4; no defect is yet traced to the ones it derives from.
     return not report.theorem1 or bool(report.primitive_defects)
 
 

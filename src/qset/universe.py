@@ -13,10 +13,10 @@ a ledger that replays reproduces the fragment's exact element multiset.
 
 ``check_qED`` audits how far a fragment is from being closed: for each
 closure condition it records the member combinations whose required
-result is missing.  A finite fragment is always defective somewhere
-(the power of a deepest element cannot be inside), which is the point:
-the audit measures the shape of the failure, it does not pretend
-closure.
+result is missing, from one sweep per section in report order.  A
+finite fragment is always defective somewhere (the power of a deepest
+element cannot be inside), which is the point: the audit measures the
+shape of the failure, it does not pretend closure.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ class Constructor:
     ``hits(pool, universe, index)`` maps every operand tuple of the
     row's sweep over ``pool`` whose result is a member of a
     ``MemberIndex`` to that member, and builds no value on the way.
+    ``FAMILY_UNION``, the audit's cond4 row, takes a family: index
+    members, then one entry each, drawn by ``_section_sweep``.
     """
 
     name: str
@@ -345,7 +347,10 @@ CONSTRUCTORS = (
                 _hits_opair),
 )
 
-# Audit sections in report order; cond4 (family union) has no row.
+FAMILY_UNION = Constructor("family_union", "cond4", 0, False, False, True, _uncapped,
+                           lambda a, parts, caps: parts.family_union(a[:len(a) // 2], a[len(a) // 2:]), None)
+
+# Audit sections in report order; each holds the rows whose ``section`` it is.
 SECTIONS = ("cond1", "cond2", "cond3", "cond4", "theorem1")
 
 MEMBER_CAP = "member-cap"
@@ -486,7 +491,7 @@ def build_fragment(
         )
     members = dict(base.classes())
     ledger = tuple(_grow(members, depth, caps))
-    return Fragment(elements=QSet(members.items()), ledger=ledger, caps=caps, depth=depth)
+    return Fragment(elements=QSet._of(dict(members)), ledger=ledger, caps=caps, depth=depth)
 
 
 def _refusals(row: Constructor, pool: list, caps: BuildCaps):
@@ -535,12 +540,9 @@ def _grow(members: dict[ElementDesc, int], depth: int, caps: BuildCaps, rederive
                 for args in row.operands(ordered):
                     swept += 1
                     cutoff = row.cap(args, caps)
-                    if cutoff is not None:
-                        yield LedgerEntry(op=row.name, args=args, cutoff=cutoff)
-                        continue
-                    result = row.apply(args, parts, caps)
-                    yield LedgerEntry(op=row.name, args=args, result=result)
-                    if result not in members:
+                    result = None if cutoff is not None else row.apply(args, parts, caps)
+                    yield LedgerEntry(op=row.name, args=args, result=result, cutoff=cutoff)
+                    if cutoff is None and result not in members:
                         members[result] = 1
                         if len(members) >= caps.max_members:
                             index = MemberIndex(members)
@@ -602,7 +604,7 @@ def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) 
                 "ledger replay diverged at entry %d: recorded %s, build writes %s"
                 % (i, entry or "no entry", built or "no entry")
             )
-    return QSet(members.items())
+    return QSet._of(dict(members))
 
 
 # -- closure audit ---------------------------------------------------
@@ -678,61 +680,58 @@ def check_qED(
     derived constructions (union, unordered pair, ordered pair) are
     audited separately as the theorem-1 section.
 
-    The checks share one ``Parts`` for the audit: each member's class
-    singleton and each unordered member pair is built once, and feeds
-    the singleton, pair and opair checks alike; each primitive pair of
-    member classes is built once for all the products; each family union
-    is built once per set of entries.  The universe is fixed while the
-    audit runs, so a shared part equals what building it again would
-    give, and the report is the same as if every check built its own.
+    Each section is one ``_section_sweep`` in report order, and each
+    check is a build's step, cap then apply: a cap refusal is a defect
+    with the cap as its note, a result that is not a member one that
+    names it.  The checks share one ``Parts``, so each class singleton,
+    unordered pair, primitive pair and family union (per set of entries)
+    is built once; the universe is fixed, so a shared part is what a
+    fresh build gives.
     """
     universe = _as_universe(u)
     if universe.qcard == 0:
         raise EmptyUniverse("cannot audit an empty universe")
     parts = Parts(universe)
     ordered = [d for d, _ in universe.classes()]
-    defects: dict[str, list[Defect]] = {s: [] for s in SECTIONS}
-    checked = dict.fromkeys(SECTIONS, 0)
-
-    # Each section lists its defects by witness positions; the stable
-    # sort keeps rows in table order within one argument tuple.  Operands
-    # are the members' own objects, so identity gives their positions.
-    position = {id(d): i for i, d in enumerate(ordered)}
-    checks = [(row, args) for row in CONSTRUCTORS for args in row.operands(ordered)]
-    checks.sort(key=lambda c: (SECTIONS.index(c[0].section), [position[id(a)] for a in c[1]]))
-    for row, args in checks:
-        section = row.section
-        checked[section] += 1
-        cutoff = row.cap(args, caps)
-        if cutoff is not None:
-            defects[section].append(Defect(section, row.name, args, None, note=cutoff))
-            continue
-        result = row.apply(args, parts, caps)
-        if universe.count(result) == 0:
-            defects[section].append(Defect(section, row.name, args, result))
-
-    classical = [d for d in ordered if d.is_classical]
-    qsets = [d for d in ordered if isinstance(d, QSet)]
-
-    def families():
-        for size in range(1, family_index_bound + 1):
-            for combo in itertools.combinations(classical, size):
-                for assignment in itertools.product(qsets, repeat=size):
-                    yield combo, assignment
-
-    fam_iter = families()
-    for combo, assignment in itertools.islice(fam_iter, max_families):
-        checked["cond4"] += 1
-        result = parts.family_union(combo, assignment)
-        if universe.count(result) == 0:
-            defects["cond4"].append(Defect("cond4", "family_union", tuple(combo) + tuple(assignment), result))
-
+    defects: dict[str, list[Defect]] = {}
     totals = {"members": len(ordered)}
-    for s in SECTIONS:
-        totals[s + "_checked"] = checked[s]
-        if s == "cond4":
-            totals["cond4_truncated"] = next(fam_iter, None) is not None
+    for section in SECTIONS:
+        sweep = _section_sweep(section, ordered, family_index_bound)
+        found = defects[section] = []
+        checked = 0
+        for row, args in itertools.islice(sweep, max_families) if section == "cond4" else sweep:
+            checked += 1
+            cutoff = row.cap(args, caps)
+            result = None if cutoff is not None else row.apply(args, parts, caps)
+            if cutoff is not None:
+                found.append(Defect(section, row.name, args, None, note=cutoff))
+            elif universe.count(result) == 0:
+                found.append(Defect(section, row.name, args, result))
+        totals[section + "_checked"] = checked
+        if section == "cond4":
+            totals["cond4_truncated"] = next(sweep, None) is not None
     return ClosureReport(elements=universe, totals=totals, **defects)
+
+
+def _section_sweep(section: str, ordered: list, family_index_bound: int):
+    """Every check of one audit section as ``(row, args)``, in report order: by operand positions
+    in ``ordered``, then table order (the rows' ``operands``, merged); cond4 by index size, index, entries."""
+    if section == "cond4":
+        classical = [d for d in ordered if d.is_classical]
+        qsets = [d for d in ordered if isinstance(d, QSet)]
+        for size in range(1, family_index_bound + 1):
+            for index in itertools.combinations(classical, size):
+                for entries in itertools.product(qsets, repeat=size):
+                    yield FAMILY_UNION, index + entries
+        return
+    rows = [row for row in CONSTRUCTORS if row.section == section]
+    qset_at = {i for i, d in enumerate(ordered) if isinstance(d, QSet)}
+    # arity is at most 2, so an unordered tuple takes y never before x
+    for at in itertools.product(range(len(ordered)), repeat=rows[0].arity):
+        args = tuple([ordered[i] for i in at])
+        for row in rows:
+            if (not row.collections or qset_at.issuperset(at)) and (not row.unordered or at[0] <= at[-1]):
+                yield row, args
 
 
 # -- classification --------------------------------------------------

@@ -10,7 +10,7 @@ the individual tests).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product as iproduct
+from itertools import combinations, islice, product as iproduct
 
 from qset import CAtom, Kind, MAtom, PrimPair, QSet, RawPair
 from qset.morphism import QuasiRelation
@@ -143,3 +143,103 @@ def congruence_oracle(rel: QuasiRelation) -> bool:
         if not any(px is x for px, _ in related):
             return False
     return True
+
+
+# -- the closure audit --------------------------------------------------
+#
+# The relative constructors read a universe's labeled occurrences: the
+# class of x is every occurrence indistinguishable from x, the pair of x
+# and y every occurrence indistinguishable from either.  Results are
+# normal forms.
+
+
+def _qform(counts) -> tuple:
+    """The collection form with these classes: a list of forms, or a
+    mapping from form to count."""
+    return ("q", tuple(sorted(Counter(counts).items())))
+
+
+def singleton_in_oracle(x, universe: QSet) -> tuple:
+    fx = onf_value(x)
+    return _qform([f for f, _ in _occurrences(universe) if f == fx])
+
+
+def pair_in_oracle(x, y, universe: QSet) -> tuple:
+    forms = {onf_value(x), onf_value(y)}
+    return _qform([f for f, _ in _occurrences(universe) if f in forms])
+
+
+def opair_in_oracle(x, y, universe: QSet) -> tuple:
+    """{class of x, pair of x and y}: a set of two members, one when the
+    two are indistinguishable."""
+    return _qform(dict.fromkeys({singleton_in_oracle(x, universe), pair_in_oracle(x, y, universe)}, 1))
+
+
+def family_union_oracle(entries) -> tuple:
+    """The union of a family's entries: each class at its largest count."""
+    counts: dict = {}
+    for entry in entries:
+        for f, n in classes_by_onf(entry).items():
+            counts[f] = max(counts.get(f, 0), n)
+    return _qform(counts)
+
+
+def _classical(form) -> bool:
+    if form[0] in ("m", "c"):
+        return form[0] == "c"
+    if form[0] == "p":
+        return _classical(form[1]) and _classical(form[2])
+    return all(_classical(f) for f, _ in form[1])
+
+
+def audit_oracle(elements: QSet, caps, family_index_bound: int = 3, max_families: int = 200) -> dict:
+    """Every defect of a closure audit of ``elements``, per section, as
+    (operation, witness forms, missing form or cap note).
+
+    cond1: the power of each collection member; cond2: the class of each
+    member; cond3: the product of each ordered pair of collection
+    members; cond4: the union of each family of up to
+    ``family_index_bound`` distinct classical members, each indexing a
+    collection member, the first ``max_families`` of them by index size,
+    then index, then entries; theorem-1: the union of each unordered pair
+    of collection members, the pair of each unordered member pair and the
+    ordered pair of each ordered one.  Members are taken in the order of
+    ``elements.classes()``, which fixes the witness order of an unordered
+    pair and the families a cut sweep reaches.  A power or product whose
+    qcard the caps refuse is a defect with the cap's note.
+    """
+    present = classes_by_onf(elements)
+    members = [d for d, _ in elements.classes()]
+    qsets = [d for d in members if isinstance(d, QSet)]
+    qcard = {x: sum(classes_by_onf(x).values()) for x in qsets}
+    defects: dict = {s: [] for s in ("cond1", "cond2", "cond3", "cond4", "theorem1")}
+
+    def check(section, op, witnesses, result):
+        if isinstance(result, str) or result not in present:
+            defects[section].append((op, tuple(map(onf_value, witnesses)), result))
+
+    for x in qsets:
+        capped = qcard[x] > caps.power_qcard
+        check("cond1", "power", [x], "power-cap" if capped else _qform(power_oracle(x)))
+    for x in members:
+        check("cond2", "singleton", [x], singleton_in_oracle(x, elements))
+    for x, y in iproduct(qsets, repeat=2):
+        capped = qcard[x] * qcard[y] > caps.product_qcard
+        check("cond3", "product", [x, y], "product-cap" if capped else _qform(product_oracle(x, y)))
+    classical = [d for d in members if _classical(onf_value(d))]
+    families = (
+        index + entries
+        for size in range(1, family_index_bound + 1)
+        for index in combinations(classical, size)
+        for entries in iproduct(qsets, repeat=size)
+    )
+    for family in islice(families, max_families):
+        check("cond4", "family_union", family, family_union_oracle(family[len(family) // 2:]))
+    for i, x in enumerate(members):
+        for j, y in enumerate(members):
+            if i <= j and isinstance(x, QSet) and isinstance(y, QSet):
+                check("theorem1", "union", [x, y], _qform(union_oracle(x, y)))
+            if i <= j:
+                check("theorem1", "pair", [x, y], pair_in_oracle(x, y, elements))
+            check("theorem1", "opair", [x, y], opair_in_oracle(x, y, elements))
+    return defects

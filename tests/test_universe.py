@@ -4,9 +4,12 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
+from collections import Counter
 
 import pytest
 
+from oracles import audit_oracle, onf_value
 from qset import (
     BuildCaps,
     CapExceeded,
@@ -976,20 +979,97 @@ def _audited_fragment():
     return report, position
 
 
-def test_theorem1_defects_follow_witness_pairs():
+@pytest.mark.parametrize("section", universe_module.SECTIONS)
+def test_defects_follow_witness_positions(section):
+    # by witness count (a cond4 family's index size), then witness
+    # positions, then table order among the rows of one tuple
     report, position = _audited_fragment()
-    ops = ["union", "pair", "opair"]
-    assert {d.operation for d in report.theorem1} == set(ops)
-    keys = [(*(position[w] for w in d.witnesses), ops.index(d.operation)) for d in report.theorem1]
+    rows = [row for row in universe_module.CONSTRUCTORS + (universe_module.FAMILY_UNION,) if row.section == section]
+    ops = [row.name for row in rows]
+    defects = getattr(report, section)
+    assert len(defects) > 1 and {d.operation for d in defects} == set(ops)
+    keys = [(len(d.witnesses), *(position[w] for w in d.witnesses), ops.index(d.operation)) for d in defects]
     assert keys == sorted(set(keys))
+    for d in defects:
+        if rows[ops.index(d.operation)].collections:
+            assert all(isinstance(w, QSet) for w in d.witnesses)
 
 
-def test_cond3_defects_follow_collection_pairs():
-    report, position = _audited_fragment()
-    assert len(report.cond3) > 1
-    keys = [tuple(position[w] for w in d.witnesses) for d in report.cond3]
-    assert keys == sorted(set(keys))
-    assert all(isinstance(w, QSet) for d in report.cond3 for w in d.witnesses)
+def _closed_form_totals(elements, family_index_bound=3, max_families=200):
+    members = [d for d, _ in elements.classes()]
+    n = len(members)
+    q = sum(isinstance(d, QSet) for d in members)
+    c = sum(d.is_classical for d in members)
+    families = sum(math.comb(c, size) * q ** size for size in range(1, family_index_bound + 1))
+    return {
+        "members": n,
+        "cond1_checked": q,
+        "cond2_checked": n,
+        "cond3_checked": q * q,
+        "cond4_checked": min(max_families, families),
+        "cond4_truncated": families > max_families,
+        "theorem1_checked": q * (q + 1) // 2 + n * (n + 1) // 2 + n * n,
+    }
+
+
+def test_audit_totals_have_closed_forms():
+    # n members, q of them quasi-sets, c classical: power per quasi-set,
+    # singleton per member, product per ordered quasi-set pair; theorem-1
+    # is union per unordered quasi-set pair, pair per unordered member
+    # pair and opair per ordered one; cond4 is sum C(c, k) q^k families
+    # of index size k up to the bound, cut at max_families
+    audits = [(build_fragment(seeds, depth, caps), 3, 200) for seeds, depth, caps, _ in REPORT_PINS]
+    gen = StructureGen(12)
+    for _ in range(30):
+        frag = gen.fragment(max_seeds=4, max_depth=2, caps=BuildCaps(max_members=gen.rng.randint(4, 24)))
+        audits.append((frag, gen.rng.randint(0, 3), gen.rng.randint(0, 80)))
+    truncated = 0
+    for frag, bound, max_families in audits:
+        report = check_qED(frag, caps=frag.caps, family_index_bound=bound, max_families=max_families)
+        expected = _closed_form_totals(frag.elements, bound, max_families)
+        assert list(report.totals.items()) == list(expected.items())
+        truncated += expected["cond4_truncated"]
+    assert 0 < truncated < len(audits)
+
+
+def _as_forms(defect):
+    missing = defect.note if defect.missing is None else onf_value(defect.missing)
+    return defect.operation, tuple(map(onf_value, defect.witnesses)), missing
+
+
+def test_audits_match_the_oracle_on_random_fragments():
+    # every section's defects, recomputed on normal forms by
+    # tests/oracles.py, which shares no code with qset.universe or
+    # qset.algebra; small caps keep the labeled enumerations short
+    gen = StructureGen(8)
+    audits = [
+        (QSet([A1]), BuildCaps(), 3, 200),
+        (QSet([QSet()]), BuildCaps(), 3, 200),
+        (QSet([(K, 2), qs((K, 2)), (J, 3), A1, qs((K, 1), (J, 2))]), BuildCaps(power_qcard=3, product_qcard=8), 2, 50),
+    ]
+    while len(audits) < 150:
+        caps = BuildCaps(max_members=gen.rng.randint(4, 14), power_qcard=gen.rng.randint(1, 6),
+                         product_qcard=gen.rng.randint(1, 40))
+        frag = gen.fragment(max_seeds=4, max_depth=2, caps=caps)
+        audits.append((frag.elements, caps, gen.rng.randint(0, 3), gen.rng.randint(0, 60)))
+    seen = set()
+    for elements, caps, bound, max_families in audits:
+        report = check_qED(elements, caps=caps, family_index_bound=bound, max_families=max_families)
+        expected = audit_oracle(elements, caps, bound, max_families)
+        for section in universe_module.SECTIONS:
+            got = [_as_forms(d) for d in getattr(report, section)]
+            assert Counter(got) == Counter(expected[section]), section
+            seen.update((section, missing) for _, _, missing in got if isinstance(missing, str))
+        if report.totals["cond4_truncated"]:
+            seen.add("truncated")
+        if report.cond4:
+            seen.add("cond4")
+        if any(isinstance(d, Kind) and n > 1 for d, n in elements.classes()):
+            seen.add("kind counted above 1")
+        if elements.distinct_classes() == 1:
+            seen.add("one member")
+    assert seen >= {("cond1", "power-cap"), ("cond3", "product-cap"), "truncated", "cond4",
+                    "kind counted above 1", "one member"}
 
 
 def test_theorem1_defects_require_primitive_defects():
