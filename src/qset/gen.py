@@ -1,4 +1,4 @@
-"""Seeded generation and exhaustive enumeration of small structures.
+"""Seeded generation of small structures.
 
 Everything here is deterministic for a fixed seed: the laws sweep in
 the CLI has to produce byte-identical reports run after run, and the
@@ -9,19 +9,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .kernel import CAtom, Kind, MAtom, QSet, RawPair, canonicalize
-from .morphism import QuasiFunction, QuasiRelation
+from .morphism import QuasiFunction
 from .universe import BuildCaps, Fragment, build_fragment
 
 __all__ = [
     "StructureGen",
     "default_kinds",
     "default_catoms",
-    "flat_qsets",
-    "all_relations",
-    "all_quasi_functions",
 ]
 
 
@@ -147,48 +144,3 @@ def _collect_atoms(build, by_kind: dict[Kind, list[MAtom]]):
     elif isinstance(build, RawPair):
         _collect_atoms(build.first, by_kind)
         _collect_atoms(build.second, by_kind)
-
-
-# -- exhaustive enumeration ------------------------------------------
-
-
-def flat_qsets(kinds: Sequence[Kind], catoms: Sequence[CAtom], max_qcard: int) -> list[QSet]:
-    """Every quasi-set of atoms over the given pools with qcard <= bound."""
-    out = []
-    kind_ranges = [range(max_qcard + 1) for _ in kinds]
-    catom_ranges = [range(2) for _ in catoms]
-    for kcounts in itertools.product(*kind_ranges):
-        for ccounts in itertools.product(*catom_ranges):
-            if sum(kcounts) + sum(ccounts) > max_qcard:
-                continue
-            entries = [(k, n) for k, n in zip(kinds, kcounts) if n]
-            entries += [(c, 1) for c, n in zip(catoms, ccounts) if n]
-            out.append(QSet(entries))
-    return out
-
-
-def all_relations(dom: QSet, cod: QSet) -> Iterator[QuasiRelation]:
-    """Every class-level relation between two quasi-sets."""
-    pairs = [
-        (a, b)
-        for a, _ in dom.classes()
-        for b, _ in cod.classes()
-    ]
-    for mask in range(1 << len(pairs)):
-        graph = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        yield QuasiRelation(dom, cod, graph)
-
-
-def all_quasi_functions(dom: QSet, cod: QSet) -> list[QuasiFunction]:
-    """Every total class-functional graph from dom to cod."""
-    dom_classes = [d for d, _ in dom.classes()]
-    cod_classes = [d for d, _ in cod.classes()]
-    if not dom_classes:
-        return [QuasiFunction(dom, cod, frozenset())]
-    if not cod_classes:
-        return []
-    out = []
-    for images in itertools.product(cod_classes, repeat=len(dom_classes)):
-        graph = frozenset(zip(dom_classes, images))
-        out.append(QuasiFunction(dom, cod, graph))
-    return out

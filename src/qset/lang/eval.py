@@ -13,7 +13,7 @@ which is all the language lets you say.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .. import algebra
 from ..errors import EvalError, QsetError
@@ -68,29 +68,24 @@ from .parser import (
 __all__ = ["Session", "CheckResult", "Outcome", "evaluate", "render", "run_program", "run_statements"]
 
 
-@dataclass(frozen=True)
-class _KindBinding:
+class _KindBinding(NamedTuple):
     kind: Kind
 
 
-@dataclass(frozen=True)
-class _AtomsBinding:
+class _AtomsBinding(NamedTuple):
     kind: Kind
 
 
-@dataclass(frozen=True)
-class _ValueBinding:
+class _ValueBinding(NamedTuple):
     value: object
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     passed: bool
     span: Span
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """What one top-level statement produced."""
 
     kind: str  # "value" | "check" | "decl"
@@ -205,8 +200,7 @@ def _exec_statement(stmt, session: Session) -> Outcome:
 
 def evaluate(term, env: Session):
     """Evaluate an expression term to a value against a session."""
-    if isinstance(term, IntLit):
-        return term.value
+    # the most frequent forms first: names, then calls
     if isinstance(term, Name):
         binding = env.env.get(term.ident)
         if binding is None:
@@ -220,8 +214,6 @@ def evaluate(term, env: Session):
                 )
             return MAtom(binding.kind, 0)
         raise EvalError("kind name '%s' cannot be used as a value" % term.ident, span=term.span)
-    if isinstance(term, QSetLit):
-        return _eval_qset_literal(term, env)
     if isinstance(term, App):
         handler = _HANDLERS[term.op]
         try:
@@ -230,6 +222,10 @@ def evaluate(term, env: Session):
             if err.span is None:
                 err.span = term.span
             raise
+    if isinstance(term, QSetLit):
+        return _eval_qset_literal(term, env)
+    if isinstance(term, IntLit):
+        return term.value
     if isinstance(term, PairLit):
         raise EvalError("a pair can only appear inside a quasi-set literal", span=term.span)
     raise EvalError("cannot evaluate %r" % (term,), span=getattr(term, "span", None))

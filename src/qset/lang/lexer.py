@@ -2,13 +2,15 @@
 
 Spans are byte offsets into the UTF-8 encoding of the source, so the
 lexer walks bytes: the language itself is pure ASCII and any byte
-outside it is rejected at its exact offset.
+outside it is rejected at its exact offset.  ``Span`` and ``Token`` are
+named tuples, the cheapest record Python builds, since a script makes
+one of each per token.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import LexError
 
@@ -42,8 +44,7 @@ class LineTable:
             i = data.find(b"\n", i + 1)
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     start: int
     end: int
 
@@ -53,8 +54,7 @@ class Span:
         return line, self.start - lines.starts[line - 1] + 1
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "keyword" | "punct" | "eof"
     text: str
     span: Span

@@ -8,11 +8,15 @@ so a malformed call never starts executing.
 Calls, quasi-set literals and pair literals nest at most 200 levels
 deep; the parser, the evaluator and the kernel all recurse on each
 level, and the limit keeps every script inside Python's stack.
+
+Syntax nodes are named tuples: a script makes one per term, and a
+tuple is the cheapest record Python builds.  Dispatch on a node reads
+its type with ``isinstance``, never its equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ParseError
 from .lexer import Span, Token
@@ -60,118 +64,103 @@ OPERATORS: dict[str, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class KindDecl:
+class KindDecl(NamedTuple):
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
-class MAtomsDecl:
+class MAtomsDecl(NamedTuple):
     alias: str
     kind_name: str
     count: int
     span: Span
 
 
-@dataclass(frozen=True)
-class CAtomDecl:
+class CAtomDecl(NamedTuple):
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
-class LetStmt:
+class LetStmt(NamedTuple):
     name: str
     expr: object
     span: Span
 
 
-@dataclass(frozen=True)
-class CheckStmt:
+class CheckStmt(NamedTuple):
     expr: object
     span: Span
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
     ident: str
     span: Span
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(NamedTuple):
     value: int
     span: Span
 
 
-@dataclass(frozen=True)
-class PairLit:
+class PairLit(NamedTuple):
     first: object
     second: object
     span: Span
 
 
-@dataclass(frozen=True)
-class Elem:
+class Elem(NamedTuple):
     node: object
     count: int
     span: Span
 
 
-@dataclass(frozen=True)
-class QSetLit:
+class QSetLit(NamedTuple):
     elems: tuple[Elem, ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class App:
+class App(NamedTuple):
     op: str
     args: tuple
     span: Span
 
 
 class _Parser:
+    """One pass over a token list.
+
+    A punctuation character is the text of no other token kind, so
+    ``tok.text == ch`` alone tells a punctuation token apart.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.nesting = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
     def fail(self, message: str, expected=(), span: Span | None = None):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         raise ParseError(message, span=span or tok.span, expected=expected)
 
     def expect_punct(self, ch: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == ch:
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text == ch:
+            self.pos += 1
+            return tok
         self.fail("expected '%s', found %s" % (ch, _show(tok)), expected=("'%s'" % ch,))
 
     def expect_ident(self, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "ident":
-            return self.advance()
+            self.pos += 1
+            return tok
         self.fail("expected %s, found %s" % (what, _show(tok)), expected=("ident",))
 
     def expect_int(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "int":
-            return self.advance()
+            self.pos += 1
+            return tok
         self.fail("expected integer, found %s" % _show(tok), expected=("int",))
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == ch
 
     def descend(self, tok: Token) -> None:
         """Enter one nesting level opened by ``tok``; the caller leaves it."""
@@ -182,18 +171,19 @@ class _Parser:
     # -- grammar -----------------------------------------------------
 
     def program(self) -> tuple:
+        tokens = self.tokens
         stmts = []
         while True:
-            while self.at_punct(";"):
-                self.advance()
-            if self.peek().kind == "eof":
+            while tokens[self.pos].text == ";":
+                self.pos += 1
+            if tokens[self.pos].kind == "eof":
                 return tuple(stmts)
             stmts.append(self.statement())
 
     def statement(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "keyword":
-            self.advance()
+            self.pos += 1
             if tok.text == "kind":
                 name = self.expect_ident("kind name")
                 return KindDecl(name.text, Span(tok.span.start, name.span.end))
@@ -214,24 +204,24 @@ class _Parser:
                 name = self.expect_ident("name")
                 self.expect_punct("=")
                 expr = self.expression()
-                return LetStmt(name.text, expr, Span(tok.span.start, _span_of(expr).end))
+                return LetStmt(name.text, expr, Span(tok.span.start, expr.span.end))
             if tok.text == "check":
                 expr = self.expression()
-                return CheckStmt(expr, Span(tok.span.start, _span_of(expr).end))
+                return CheckStmt(expr, Span(tok.span.start, expr.span.end))
             self.fail("unexpected keyword '%s'" % tok.text, span=tok.span)
         return self.expression()
 
     def expression(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "int":
-            self.advance()
+            self.pos += 1
             return IntLit(int(tok.text), tok.span)
         if tok.kind == "ident":
-            self.advance()
-            if self.at_punct("("):
+            self.pos += 1
+            if self.tokens[self.pos].text == "(":
                 return self.call(tok)
             return Name(tok.text, tok.span)
-        if tok.kind == "punct" and tok.text == "{":
+        if tok.text == "{":
             return self.qset_literal()
         self.fail(
             "expected an expression, found %s" % _show(tok),
@@ -243,12 +233,13 @@ class _Parser:
         if arity is None:
             self.fail("unknown operator '%s'" % op_tok.text, span=op_tok.span)
         self.descend(op_tok)
-        self.expect_punct("(")
+        self.pos += 1  # the '(' that expression saw
+        tokens = self.tokens
         args = []
-        if not self.at_punct(")"):
+        if tokens[self.pos].text != ")":
             args.append(self.expression())
-            while self.at_punct(","):
-                self.advance()
+            while tokens[self.pos].text == ",":
+                self.pos += 1
                 args.append(self.expression())
         close = self.expect_punct(")")
         self.nesting -= 1
@@ -263,44 +254,45 @@ class _Parser:
         return App(op_tok.text, tuple(args), Span(op_tok.span.start, close.span.end))
 
     def qset_literal(self) -> QSetLit:
-        self.descend(self.peek())
-        open_tok = self.expect_punct("{")
+        tokens = self.tokens
+        open_tok = tokens[self.pos]  # the '{' that expression saw
+        self.descend(open_tok)
+        self.pos += 1
         elems = []
-        if not self.at_punct("}"):
+        if tokens[self.pos].text != "}":
             elems.append(self.element())
-            while self.at_punct(","):
-                self.advance()
+            while tokens[self.pos].text == ",":
+                self.pos += 1
                 elems.append(self.element())
         close = self.expect_punct("}")
         self.nesting -= 1
         return QSetLit(tuple(elems), Span(open_tok.span.start, close.span.end))
 
     def element(self) -> Elem:
-        node = self.pair_literal() if self.at_punct("<") else self.expression()
+        tokens = self.tokens
+        node = self.pair_literal() if tokens[self.pos].text == "<" else self.expression()
         count = 1
-        end = _span_of(node).end
-        if self.at_punct("^"):
-            self.advance()
+        span = node.span
+        if tokens[self.pos].text == "^":
+            self.pos += 1
             count_tok = self.expect_int()
             count = int(count_tok.text)
             if count < 1:
                 self.fail("element count must be >= 1", span=count_tok.span)
-            end = count_tok.span.end
-        return Elem(node, count, Span(_span_of(node).start, end))
+            span = Span(span.start, count_tok.span.end)
+        return Elem(node, count, span)
 
     def pair_literal(self) -> PairLit:
-        self.descend(self.peek())
-        open_tok = self.expect_punct("<")
-        first = self.pair_literal() if self.at_punct("<") else self.expression()
+        tokens = self.tokens
+        open_tok = tokens[self.pos]  # the '<' that the caller saw
+        self.descend(open_tok)
+        self.pos += 1
+        first = self.pair_literal() if tokens[self.pos].text == "<" else self.expression()
         self.expect_punct(",")
-        second = self.pair_literal() if self.at_punct("<") else self.expression()
+        second = self.pair_literal() if tokens[self.pos].text == "<" else self.expression()
         close = self.expect_punct(">")
         self.nesting -= 1
         return PairLit(first, second, Span(open_tok.span.start, close.span.end))
-
-
-def _span_of(node) -> Span:
-    return node.span
 
 
 def _show(tok: Token) -> str:

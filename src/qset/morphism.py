@@ -73,6 +73,20 @@ class QuasiFunction(QuasiRelation):
             if desc not in seen:
                 raise InvalidQuasiFunction("domain class %s has no image" % canonical_text(desc))
 
+    @classmethod
+    def _of(cls, dom: QSet, cod: QSet, graph: frozenset) -> "QuasiFunction":
+        """The quasi-function with this graph, built without checking it.
+
+        For trusted internal callers only (``compose`` and ``identity``):
+        ``graph`` must be a frozenset of 2-tuples that pairs every class
+        of ``dom`` with exactly one class of ``cod``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "graph", graph)
+        return self
+
 
 def quasi_function(dom: QSet, cod: QSet, graph: Iterable[GraphPair]) -> QuasiFunction:
     return QuasiFunction(dom, cod, graph)
@@ -89,17 +103,24 @@ def is_quasi_function(q: QuasiRelation) -> bool:
 
 
 def identity(a: QSet) -> QuasiFunction:
-    return QuasiFunction(a, a, frozenset((desc, desc) for desc, _ in a.classes()))
+    return QuasiFunction._of(a, a, frozenset([(desc, desc) for desc, _ in a.classes()]))
 
 
 def compose(g: QuasiFunction, f: QuasiFunction) -> QuasiFunction:
-    """g after f.  Defined when cod(f) and dom(g) are indistinguishable."""
+    """g after f.  Defined when cod(f) and dom(g) are indistinguishable.
+
+    The composite of two quasi-functions is one, so it is built without
+    the public constructor's checks; a composite with a bare relation is
+    checked.
+    """
     if f.cod != g.dom:
         raise NotComposable(
             "cannot compose: cod %s differs from dom %s" % (f.cod.text, g.dom.text)
         )
     gmap = dict(g.graph)
-    return QuasiFunction(f.dom, g.cod, frozenset((a, gmap[b]) for a, b in f.graph))
+    trusted = isinstance(f, QuasiFunction) and isinstance(g, QuasiFunction)
+    make = QuasiFunction._of if trusted else QuasiFunction
+    return make(f.dom, g.cod, frozenset([(a, gmap[b]) for a, b in f.graph]))
 
 
 def qfun_equiv(f: QuasiFunction, g: QuasiFunction) -> bool:

@@ -33,7 +33,8 @@ from qset import (
     qfun_equiv,
     relabel,
 )
-from qset.gen import StructureGen, all_quasi_functions, all_relations, flat_qsets
+from qset.gen import StructureGen
+from small_pools import all_quasi_functions, all_relations, flat_qsets
 from qset.lang import Session, render, run_program
 
 from oracles import classes_by_onf, power_oracle, product_oracle

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import classes_by_onf, onf_value, power_oracle, product_oracle, union_oracle
+from small_pools import flat_qsets
 from qset import (
     CAtom,
     CapExceeded,
@@ -28,7 +29,7 @@ from qset import (
     union,
 )
 from qset.algebra import opair_from
-from qset.gen import StructureGen, flat_qsets
+from qset.gen import StructureGen
 from qset.universe import Parts
 
 K = Kind("K")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import indist_oracle, onf_build, onf_value
+from small_pools import flat_qsets
 from qset import (
     CAtom,
     InvalidPermutation,
@@ -22,7 +23,7 @@ from qset import (
     relabel,
 )
 from qset.algebra import power, product
-from qset.gen import StructureGen, flat_qsets
+from qset.gen import StructureGen
 
 K = Kind("K")
 J = Kind("J")

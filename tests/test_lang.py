@@ -20,15 +20,18 @@ from qset.lang import (
     App,
     CAtomDecl,
     CheckStmt,
+    Elem,
     IntLit,
     KindDecl,
     LetStmt,
     LineTable,
     MAtomsDecl,
     Name,
+    PairLit,
     QSetLit,
     Session,
     Span,
+    Token,
     parse,
     render,
     run_program,
@@ -130,6 +133,12 @@ def test_eof_token_sits_at_end():
     assert tokenize(src)[-1].span == Span(5, 5)
 
 
+def test_tokens_carry_spans():
+    toks = tokenize("kind K\nlet x = {k^2} # note\n")
+    assert all(isinstance(t, Token) and isinstance(t.span, Span) for t in toks)
+    assert toks[-1] == Token("eof", "", Span(28, 28))
+
+
 # -- parser --------------------------------------------------------------
 
 
@@ -147,6 +156,27 @@ def test_parse_let_and_check():
     assert isinstance(prog[0].expr, QSetLit)
     assert isinstance(prog[1], CheckStmt)
     assert isinstance(prog[1].expr, App) and prog[1].expr.op == "eq"
+
+
+def test_each_form_parses_to_its_node_type():
+    # evaluation dispatches on these types, so each statement and
+    # expression form is pinned to its node
+    src = "kind K; matoms k: K^3; catom A; let x = {k^2, <A, {}>}; check eq(1, 1); x; 7"
+    kind, matoms, catom, let, check, name, num = parse(tokenize(src))
+    assert isinstance(kind, KindDecl)
+    assert isinstance(matoms, MAtomsDecl)
+    assert isinstance(catom, CAtomDecl)
+    assert isinstance(let, LetStmt) and isinstance(let.expr, QSetLit)
+    atoms, pair = let.expr.elems
+    assert isinstance(atoms, Elem) and isinstance(atoms.node, Name) and atoms.count == 2
+    assert isinstance(pair, Elem) and isinstance(pair.node, PairLit)
+    assert isinstance(pair.node.first, Name) and isinstance(pair.node.second, QSetLit)
+    assert isinstance(check, CheckStmt) and isinstance(check.expr, App)
+    assert all(isinstance(arg, IntLit) for arg in check.expr.args)
+    assert isinstance(name, Name) and isinstance(num, IntLit)
+    nodes = [kind, matoms, catom, let, let.expr, atoms, atoms.node, pair, pair.node,
+             check, check.expr, name, num]
+    assert all(isinstance(node.span, Span) for node in nodes)
 
 
 def test_semicolons_are_noise():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import congruence_oracle
+from small_pools import all_quasi_functions, all_relations, flat_qsets
 from qset import (
     CAtom,
     CategoryPresentation,
@@ -27,7 +28,7 @@ from qset import (
     qfun_equiv,
     quasi_function,
 )
-from qset.gen import StructureGen, all_quasi_functions, all_relations, flat_qsets
+from qset.gen import StructureGen
 
 K = Kind("K")
 J = Kind("J")
@@ -133,6 +134,56 @@ def test_composition_closure_small():
                 for c in pool:
                     for g in all_quasi_functions(b, c):
                         assert is_quasi_function(compose(g, f))
+
+
+def test_trusted_results_equal_validated_construction():
+    # compose and identity build their results without the public
+    # constructor's checks; each must be the value that constructor
+    # builds from the relational composite, and a quasi-function
+    pool = flat_qsets([K, J], [A1], 2)
+    for a in pool:
+        ident = identity(a)
+        assert ident == QuasiFunction(a, a, [(d, d) for d, _ in a.classes()])
+        assert congruence_oracle(ident)
+        for b in pool:
+            for f in all_quasi_functions(a, b):
+                for c in pool:
+                    for g in all_quasi_functions(b, c):
+                        gf = compose(g, f)
+                        graph = {(x, z) for x, y in f.graph for y2, z in g.graph if y2 == y}
+                        checked = QuasiFunction(f.dom, g.cod, graph)
+                        assert type(gf) is QuasiFunction
+                        assert gf == checked and hash(gf) == hash(checked)
+                        assert congruence_oracle(gf)
+
+
+@pytest.mark.parametrize(
+    "graph, error",
+    [
+        ([(K, J), (K, A2), (A1, A2)], InvalidQuasiFunction),  # not functional
+        ([(K, J)], InvalidQuasiFunction),  # partial
+        ([(K, J), (A1, A2), (J, J)], ValueError),  # J is no domain class
+        ([(K, J), (A1, A1)], ValueError),  # A1 is no codomain class
+    ],
+)
+def test_public_constructor_still_checks_after_compose(graph, error):
+    dom, cod = qs((K, 2), A1), qs(J, A2)
+    f = quasi_function(dom, cod, [(K, J), (A1, A2)])
+    assert qfun_equiv(compose(identity(cod), f), f)
+    with pytest.raises(error):
+        QuasiFunction(dom, cod, frozenset(graph))
+    if error is ValueError:
+        with pytest.raises(error):
+            QuasiRelation(dom, cod, frozenset(graph))
+
+
+def test_compose_checks_a_bare_relation():
+    dom, cod = qs((K, 2), A1), qs(J)
+    partial = QuasiRelation(dom, cod, frozenset([(K, J)]))
+    with pytest.raises(InvalidQuasiFunction):
+        compose(identity(cod), partial)
+    total = QuasiRelation(dom, cod, frozenset([(K, J), (A1, J)]))
+    assert compose(identity(cod), total) == QuasiFunction(dom, cod, total.graph)
 
 
 # -- equivalence of quasi-functions --------------------------------------
