@@ -9,6 +9,7 @@ carries only the machine-readable document; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -76,8 +77,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parse_args leaves a parser as it was, so one serves every call
+_parser = functools.cache(build_arg_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.mode == "eval":
             return _run_eval(args)

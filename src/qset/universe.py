@@ -6,10 +6,10 @@ the constructors for a fixed number of rounds, under explicit caps.
 Every step lands in a ledger, and every place a cap bit is recorded as
 a cutoff rather than silently dropped: a power or product cap refusal
 as one entry, the member cap's misses as one count per round and
-constructor.  Replay grows the ledger's seeds again with the same round
-sweep, requires the ledger to be exactly the one build writes, and
-builds every member that build listed as a hit past the member cap, so
-a ledger that replays reproduces the fragment's exact element multiset.
+constructor.  Replay grows the seeds again with the same round sweep,
+applies every operand tuple and reads no hit map, so a hit-map bug
+cannot certify itself; a ledger that replays, entry for entry as build
+writes it, reproduces the fragment's exact element multiset.
 
 ``check_qED`` audits how far a fragment is from being closed: for each
 closure condition it records the member combinations whose required
@@ -511,22 +511,22 @@ def _refusals(row: Constructor, pool: list, caps: BuildCaps):
                     yield at, cutoff
 
 
-def _grow(members: dict[ElementDesc, int], depth: int, caps: BuildCaps, rederive: bool = False):
+def _grow(members: dict[ElementDesc, int], depth: int, caps: BuildCaps, apply_all: bool = False):
     """Yield the ledger of ``depth`` rounds grown from ``members``, the
     seeds' classes, and add each new member to ``members`` as it goes.
 
     This is the one round sweep, shared by build and replay.  It applies
-    the rows tuple by tuple until the member cap fills.  From there the
-    members are final: the rest of the row, and every later row and
-    round, is written from the cap refusals and the row's ``hits``,
-    merged in sweep order by operand positions, and the tuples neither
-    lists are the row's misses, counted without being visited.  With
-    ``rederive``, each hit is also built with the row's ``apply`` just
-    before its entry is written, and a difference raises ValueError.
+    the rows tuple by tuple; once the member cap fills, a cap refusal or
+    a result that is a member is listed and the other tuples are the
+    row's misses, counted in one summary.  Build stops applying there:
+    the rest of the row, and every later row and round, is written from
+    the cap refusals and the row's ``hits``, merged in sweep order by
+    operand positions, and the tuples neither lists are the misses.
+    With ``apply_all``, as replay runs it, no hit map is ever read.
     """
     for desc, n in members.items():
         yield LedgerEntry(op="seed", result=desc, count=n)
-    index = MemberIndex(members) if len(members) >= caps.max_members else None
+    index = MemberIndex(members) if len(members) >= caps.max_members and not apply_all else None
 
     for r in range(1, depth + 1):
         yield LedgerEntry(op="round", count=r)
@@ -534,40 +534,36 @@ def _grow(members: dict[ElementDesc, int], depth: int, caps: BuildCaps, rederive
         parts = Parts(snapshot)
         ordered = [d for d, _ in snapshot.classes()]
         for row in CONSTRUCTORS:
-            swept = 0
-            filled_at = None
+            swept, misses, filled_at = 0, 0, ()
             if index is None:
-                for args in row.operands(ordered):
-                    swept += 1
+                for swept, args in enumerate(row.operands(ordered), 1):
                     cutoff = row.cap(args, caps)
                     result = None if cutoff is not None else row.apply(args, parts, caps)
-                    yield LedgerEntry(op=row.name, args=args, result=result, cutoff=cutoff)
                     if cutoff is None and result not in members:
-                        members[result] = 1
                         if len(members) >= caps.max_members:
+                            misses += 1
+                            continue
+                        members[result] = 1
+                        if len(members) >= caps.max_members and not apply_all:
                             index = MemberIndex(members)
                             filled_at = args
+                            yield LedgerEntry(op=row.name, args=args, result=result)
                             break
-                else:
-                    continue
-            pool = row.pool(ordered)
-            locate = {x: i for i, x in enumerate(pool)}.__getitem__
-            listed = {tuple(map(locate, a)): (a, r, None) for a, r in row.hits(pool, snapshot, index).items()}
-            for at, cutoff in _refusals(row, pool, caps):
-                listed[at] = (tuple(pool[i] for i in at), None, cutoff)
-            after = tuple(map(locate, filled_at)) if filled_at else ()
-            past = sorted(at for at in listed if at > after)
-            for at in past:
-                args, result, cutoff = listed[at]
-                if rederive and result is not None and row.apply(args, parts, caps) != result:
-                    raise ValueError(
-                        "ledger replay diverged: %s of %s is listed as %s, apply builds another value"
-                        % (row.name, ", ".join(a.text for a in args), result.text)
-                    )
-                yield LedgerEntry(op=row.name, args=args, result=result, cutoff=cutoff)
-            n = len(pool)
-            total = math.comb(n + row.arity - 1, row.arity) if row.unordered else n ** row.arity
-            misses = total - swept - len(past)
+                    yield LedgerEntry(op=row.name, args=args, result=result, cutoff=cutoff)
+            if index is not None:
+                pool = row.pool(ordered)
+                locate = {x: i for i, x in enumerate(pool)}.__getitem__
+                listed = {tuple(map(locate, a)): (a, r, None) for a, r in row.hits(pool, snapshot, index).items()}
+                for at, cutoff in _refusals(row, pool, caps):
+                    listed[at] = (tuple(pool[i] for i in at), None, cutoff)
+                after = tuple(map(locate, filled_at))
+                past = sorted(at for at in listed if at > after)
+                for at in past:
+                    args, result, cutoff = listed[at]
+                    yield LedgerEntry(op=row.name, args=args, result=result, cutoff=cutoff)
+                n = len(pool)
+                total = math.comb(n + row.arity - 1, row.arity) if row.unordered else n ** row.arity
+                misses = total - swept - len(past)
             if misses:
                 yield LedgerEntry(op=row.name, count=misses, cutoff=MEMBER_CAP)
 
@@ -578,13 +574,11 @@ def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) 
     Replay grows the ledger's seeds for as many rounds as it lists, with
     the round sweep of ``build_fragment``, and requires the ledger to be,
     entry for entry, the one that build writes; it stops at the first
-    entry that differs, without growing the rounds after it.  Past the
-    point where the member cap fills, build lists the hits of each row's
-    ``hits``; replay also builds each of them with the row's ``apply``,
-    in ledger order, as it reaches its entry.  Any divergence raises
-    ValueError: seeds that build does not take, a hit ``apply`` builds
-    another value for, or the first entry that differs from what build
-    writes, with its index.
+    entry that differs, without growing the rounds after it.  It applies
+    every operand tuple and reads no hit map, so a hit map that lists a
+    wrong hit, drops a true one or miscounts the misses writes a ledger
+    that does not replay.  Any divergence raises ValueError: seeds that
+    build does not take, or the first entry that differs, with its index.
     """
     recorded = list(ledger)
     try:
@@ -597,7 +591,7 @@ def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) 
             % (base.distinct_classes(), caps.max_members)
         )
     members = dict(base.classes())
-    rebuilt = _grow(members, sum(e.op == "round" for e in recorded), caps, rederive=True)
+    rebuilt = _grow(members, sum(e.op == "round" for e in recorded), caps, apply_all=True)
     for i, (entry, built) in enumerate(itertools.zip_longest(recorded, rebuilt)):
         if entry != built:
             raise ValueError(

@@ -193,6 +193,22 @@ def test_negative_counts_are_usage_errors(argv):
     assert proc.stdout == ""
 
 
+def test_a_usage_error_leaves_the_next_call_as_the_first(monkeypatch, capsysbinary):
+    # main parses with one parser per process; a call that fails to parse
+    # must not change what the next good call parses or prints
+    monkeypatch.setenv("QSET_COLOR", "0")
+    good = ["eval", str(ROOT / "demos" / "powerset.qst"), "--format", "json", "--depth", "1"]
+    assert main(good) == 0
+    first = capsysbinary.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "-", "--depth", "-1", "--format", "xml"])
+    assert exit_.value.code == 2
+    assert b"usage: qset" in capsysbinary.readouterr().err
+    assert main(good) == 0
+    assert capsysbinary.readouterr() == first
+    assert first.out and first.err == b""
+
+
 # -- audit ---------------------------------------------------------------
 
 

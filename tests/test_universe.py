@@ -836,8 +836,8 @@ def test_replay_stops_at_the_first_divergent_entry(monkeypatch):
 
 def test_replay_builds_every_result_the_hit_map_lists(monkeypatch):
     # a union hit map that answers every operand tuple with the first
-    # member it can: build trusts it past the fill point, replay must
-    # build the unions and refuse
+    # member it can: build trusts it past the fill point, replay applies
+    # every tuple and reads no hit map, so it builds the unions and refuses
     def any_member(pool, universe, index):
         member = next(iter(index.by_classes.values()))
         return dict.fromkeys(itertools.combinations_with_replacement(pool, 2), member)
@@ -850,6 +850,53 @@ def test_replay_builds_every_result_the_hit_map_lists(monkeypatch):
     frag = build_fragment(*LEDGER_PINS[0][:3])
     with pytest.raises(ValueError):
         replay_ledger(frag.ledger, frag.caps)
+
+
+def _dropping(hits, drop):
+    def wrapped(pool, universe, index):
+        return {at: m for at, m in hits(pool, universe, index).items() if not drop(at)}
+    return wrapped
+
+
+# hit maps that each drop one kind of true hit: build lists the dropped
+# tuples as misses, and a replay that read the same hit map would agree
+DROPPED_HITS = {
+    "opair without (x, x)": ("opair", lambda at: at[0] == at[1]),
+    "product without an empty operand": ("product", lambda at: not at[0] or not at[1]),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(DROPPED_HITS))
+def test_replay_rejects_ledgers_written_from_hit_maps_that_drop_true_hits(mutant, monkeypatch):
+    # the bad hit map stays in place while replay runs, as a bug in the
+    # code would: replay must still refuse every ledger it changed
+    op, drop = DROPPED_HITS[mutant]
+    builds = _cap_builds()
+    right = [build_fragment(*b).ledger for b in builds]
+    rows = tuple(
+        dataclasses.replace(row, hits=_dropping(row.hits, drop)) if row.name == op else row
+        for row in universe_module.CONSTRUCTORS
+    )
+    monkeypatch.setattr(universe_module, "CONSTRUCTORS", rows)
+    written = [build_fragment(*b) for b in builds]
+    wrong = [frag for frag, ledger in zip(written, right) if frag.ledger != ledger]
+    assert wrong, "the dropped hits never occur past a fill point"
+    for frag in wrong:
+        with pytest.raises(ValueError, match="diverged at entry"):
+            replay_ledger(frag.ledger, frag.caps)
+
+
+def test_replay_reads_no_hit_map(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("replay read a hit map")
+
+    frags = [build_fragment(*b) for b in _cap_builds()]
+    assert all(any(e.cutoff == "member-cap" for e in frag.ledger) for frag in frags)
+    rows = tuple(dataclasses.replace(row, hits=refuse) for row in universe_module.CONSTRUCTORS)
+    monkeypatch.setattr(universe_module, "CONSTRUCTORS", rows)
+    monkeypatch.setattr(universe_module, "MemberIndex", refuse)
+    for frag in frags:
+        assert replay_ledger(frag.ledger, frag.caps) == frag.elements
 
 
 # -- closure audit -------------------------------------------------------
