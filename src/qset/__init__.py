@@ -4,7 +4,7 @@ The package models collections whose elements may be indistinguishable
 without being identical.  Atoms of a kind carry no observable labels;
 equality of values is indistinguishability, decided by comparing
 canonical texts.  On top of the kernel sit the algebra (power,
-products, unions, indexed families), class-level quasi-functions with
+products, unions, family unions), class-level quasi-functions with
 category-law checking, bounded universe fragments with closure audits,
 and a small script language with a CLI.
 """
@@ -12,7 +12,6 @@ and a small script language with a CLI.
 from .algebra import (
     POWER_QCARD_CAP,
     PRODUCT_QCARD_CAP,
-    IndexedFamily,
     family_from_pairs,
     family_union,
     opair_in,
@@ -109,7 +108,6 @@ __all__ = [
     "opair_in",
     "product",
     "union",
-    "IndexedFamily",
     "family_union",
     "family_from_pairs",
     # morphisms

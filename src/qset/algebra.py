@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable
 
 from .errors import CapExceeded, NonClassicalIndex, NotInUniverse
 from .kernel import ElementDesc, PrimPair, QSet, as_descriptor, canonical_text
@@ -32,7 +31,6 @@ __all__ = [
     "opair_from",
     "product",
     "union",
-    "IndexedFamily",
     "family_union",
     "family_from_pairs",
 ]
@@ -130,45 +128,25 @@ def union(x: QSet, y: QSet) -> QSet:
     return QSet._of(counts)
 
 
-@dataclass(frozen=True, eq=True)
-class IndexedFamily:
-    """A family of quasi-sets indexed by a classical quasi-set.
-
-    Only classical indices are allowed: indexing by indistinguishable
-    atoms would let the index secretly distinguish them.  ``entries``
-    maps each element descriptor of ``index`` to a quasi-set.
-    """
-
-    index: QSet
-    entries: Mapping[ElementDesc, QSet]
-
-    def __post_init__(self):
-        if not isinstance(self.index, QSet):
-            raise TypeError("family index must be a quasi-set")
-        if not self.index.is_classical:
-            raise NonClassicalIndex("family index must be classical (no m-atoms anywhere)")
-        index_classes = {desc for desc, _ in self.index.classes()}
-        keys = set(self.entries.keys())
-        if keys != index_classes:
-            raise ValueError("family entries must be keyed by exactly the index's elements")
-        for v in self.entries.values():
-            if not isinstance(v, QSet):
-                raise TypeError("family entries must be quasi-sets")
+def family_union(entries: Iterable[QSet]) -> QSet:
+    """Union of a family's entries, each class at its largest count; the index plays no part."""
+    counts: dict[ElementDesc, int] = {}
+    for entry in entries:
+        if not isinstance(entry, QSet):
+            raise TypeError("family entries must be quasi-sets")
+        for desc, n in entry.classes():
+            if counts.get(desc, 0) < n:
+                counts[desc] = n
+    return QSet._of(counts)
 
 
-def family_union(family: IndexedFamily) -> QSet:
-    """Union of all entries of a classically-indexed family."""
-    out = QSet()
-    for entry in family.entries.values():
-        out = union(out, entry)
-    return out
-
-
-def family_from_pairs(graph: QSet) -> IndexedFamily:
+def family_from_pairs(graph: QSet) -> dict[ElementDesc, QSet]:
     """Read a family off a quasi-set of pairs <index-element, entry>.
 
-    The firsts become the index (each once); every first must be paired
-    with exactly one entry, and every entry must be a quasi-set.
+    Every first must be paired with exactly one entry, every entry must
+    be a quasi-set, and the firsts, the family's index, must be
+    classical: indexing by indistinguishable atoms would let the index
+    secretly distinguish them.  Returns the map from first to entry.
     """
     entries: dict[ElementDesc, QSet] = {}
     for desc, _ in graph.classes():
@@ -180,5 +158,6 @@ def family_from_pairs(graph: QSet) -> IndexedFamily:
         if i in entries and entries[i] != v:
             raise ValueError("family assigns two entries to index element %s" % canonical_text(i))
         entries[i] = v
-    index = QSet((desc, 1) for desc in entries)
-    return IndexedFamily(index=index, entries=entries)
+    if not all(i.is_classical for i in entries):
+        raise NonClassicalIndex("family index must be classical (no m-atoms anywhere)")
+    return entries

@@ -152,14 +152,6 @@ class Session:
     def population(self, kind: Kind) -> int:
         return self.populations.get(kind.ident, 0)
 
-    # -- evaluation ---------------------------------------------------
-
-    def eval(self, term):
-        return evaluate(term, self)
-
-    def run(self, source: str) -> list[Outcome]:
-        return run_program(source, self)
-
 
 def run_program(source: str, session: Session) -> list[Outcome]:
     """Tokenize, parse and evaluate a whole program against a session."""
@@ -385,10 +377,10 @@ def _constructor_op(row):
 def _op_bigunion(term, env):
     graph = _need_qset(term, env, 0)
     try:
-        family = algebra.family_from_pairs(graph)
+        entries = algebra.family_from_pairs(graph)
     except (TypeError, ValueError) as err:
         raise EvalError(str(err), span=term.args[0].span) from err
-    return algebra.family_union(family)
+    return algebra.family_union(entries.values())
 
 
 def _op_qfun(term, env):

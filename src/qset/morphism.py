@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from . import _json
 from .errors import InvalidQuasiFunction, NotComposable
@@ -45,14 +45,13 @@ class QuasiRelation:
     dom: QSet
     cod: QSet
     graph: frozenset[GraphPair]
+    _functional: ClassVar[bool] = False
 
     def __post_init__(self):
         object.__setattr__(self, "graph", frozenset((a, b) for a, b in self.graph))
-        for a, b in self.graph:
-            if self.dom.count(a) == 0:
-                raise ValueError("graph uses %s, not a class of the domain" % canonical_text(a))
-            if self.cod.count(b) == 0:
-                raise ValueError("graph uses %s, not a class of the codomain" % canonical_text(b))
+        if _first_fault(self, self.graph, self._functional) is not None:
+            # the graph iterates in hash order; name the first fault in canonical order
+            raise _first_fault(self, self.sorted_graph(), self._functional)
 
     def sorted_graph(self) -> list[GraphPair]:
         return sorted(self.graph, key=lambda ab: (ab[0].key, ab[1].key))
@@ -60,18 +59,7 @@ class QuasiRelation:
 
 @dataclass(frozen=True)
 class QuasiFunction(QuasiRelation):
-    def __post_init__(self):
-        super().__post_init__()
-        seen: dict[ElementDesc, ElementDesc] = {}
-        for a, b in self.graph:
-            if a in seen:
-                raise InvalidQuasiFunction(
-                    "domain class %s is paired with two codomain classes" % canonical_text(a)
-                )
-            seen[a] = b
-        for desc, _ in self.dom.classes():
-            if desc not in seen:
-                raise InvalidQuasiFunction("domain class %s has no image" % canonical_text(desc))
+    _functional: ClassVar[bool] = True
 
     @classmethod
     def _of(cls, dom: QSet, cod: QSet, graph: frozenset) -> "QuasiFunction":
@@ -88,18 +76,34 @@ class QuasiFunction(QuasiRelation):
         return self
 
 
+def _first_fault(q: QuasiRelation, pairs, functional: bool) -> Exception | None:
+    """The first fault met walking q's graph as ``pairs``: a pair off the domain or the codomain,
+    then, if ``functional``, a domain class with two images, then one with none.  None if none."""
+    for a, b in pairs:
+        if q.dom.count(a) == 0:
+            return ValueError("graph uses %s, not a class of the domain" % canonical_text(a))
+        if q.cod.count(b) == 0:
+            return ValueError("graph uses %s, not a class of the codomain" % canonical_text(b))
+    if functional:
+        seen: set[ElementDesc] = set()
+        for a, _ in pairs:
+            if a in seen:
+                return InvalidQuasiFunction(
+                    "domain class %s is paired with two codomain classes" % canonical_text(a))
+            seen.add(a)
+        for desc, _ in q.dom.classes():
+            if desc not in seen:
+                return InvalidQuasiFunction("domain class %s has no image" % canonical_text(desc))
+    return None
+
+
 def quasi_function(dom: QSet, cod: QSet, graph: Iterable[GraphPair]) -> QuasiFunction:
     return QuasiFunction(dom, cod, graph)
 
 
 def is_quasi_function(q: QuasiRelation) -> bool:
     """Class-functional and total on the domain's classes."""
-    seen: dict[ElementDesc, ElementDesc] = {}
-    for a, b in q.graph:
-        if a in seen and seen[a] != b:
-            return False
-        seen[a] = b
-    return all(desc in seen for desc, _ in q.dom.classes())
+    return _first_fault(q, q.graph, True) is None
 
 
 def identity(a: QSet) -> QuasiFunction:

@@ -80,7 +80,8 @@ class Constructor:
     row's sweep over ``pool`` whose result is a member of a
     ``MemberIndex`` to that member, and builds no value on the way.
     ``FAMILY_UNION``, the audit's cond4 row, takes a family: index
-    members, then one entry each, drawn by ``_section_sweep``.
+    members, then one entry each, drawn by ``_section_sweep``; its
+    union reads only the entries.
     """
 
     name: str
@@ -158,15 +159,13 @@ class Parts:
             p = self._prim_pairs[a, b] = PrimPair(a, b)
         return p
 
-    def family_union(self, index: Sequence[ElementDesc], entries: Sequence[QSet]) -> QSet:
-        """The union of the family taking ``index[i]`` to ``entries[i]``."""
+    def family_union(self, entries: Sequence[QSet]) -> QSet:
+        """The union of a family with these entries."""
         # exact: union is associative, commutative and idempotent, so only the set of entries matters
         key = frozenset(entries)
         result = self._unions.get(key)
         if result is None:
-            index_set = QSet((d, 1) for d in index)
-            family = algebra.IndexedFamily(index=index_set, entries=dict(zip(index, entries)))
-            result = self._unions[key] = algebra.family_union(family)
+            result = self._unions[key] = algebra.family_union(entries)
         return result
 
 
@@ -348,7 +347,7 @@ CONSTRUCTORS = (
 )
 
 FAMILY_UNION = Constructor("family_union", "cond4", 0, False, False, True, _uncapped,
-                           lambda a, parts, caps: parts.family_union(a[:len(a) // 2], a[len(a) // 2:]), None)
+                           lambda a, parts, caps: parts.family_union(a[len(a) // 2:]), None)
 
 # Audit sections in report order; each holds the rows whose ``section`` it is.
 SECTIONS = ("cond1", "cond2", "cond3", "cond4", "theorem1")
@@ -412,9 +411,6 @@ class Fragment:
     def rank(self) -> dict[ElementDesc, int]:
         """Each member's hereditary nesting depth, above that of its members."""
         return {d: d.depth for d, _ in self.elements.classes()}
-
-    def members(self) -> list[tuple[ElementDesc, int]]:
-        return list(self.elements.classes())
 
     def processed_members(self) -> set[ElementDesc]:
         """Members that had a constructor round applied to them.

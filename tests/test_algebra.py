@@ -9,7 +9,6 @@ from small_pools import flat_qsets
 from qset import (
     CAtom,
     CapExceeded,
-    IndexedFamily,
     Kind,
     MAtom,
     NonClassicalIndex,
@@ -256,39 +255,37 @@ def test_union_laws(sa, sb, sc):
     assert classes_by_onf(union(a, b)) == union_oracle(a, b)
 
 
-# -- indexed families --------------------------------------------------
+# -- families ------------------------------------------------------------
 
 
 def test_family_union_folds_entries():
-    fam = IndexedFamily(index=qs(A1, A2), entries={A1: qs((K, 1)), A2: qs((J, 1))})
-    assert family_union(fam) == qs((K, 1), (J, 1))
+    assert family_union([qs((K, 1)), qs((J, 1))]) == qs((K, 1), (J, 1))
 
 
 def test_family_union_empty_index():
-    assert family_union(IndexedFamily(index=QSet(), entries={})) == QSet()
-
-
-def test_family_index_must_be_classical():
-    with pytest.raises(NonClassicalIndex):
-        IndexedFamily(index=qs((K, 1)), entries={K: qs(A1)})
-
-
-def test_family_entries_must_match_index():
-    with pytest.raises(ValueError):
-        IndexedFamily(index=qs(A1, A2), entries={A1: qs((K, 1))})
+    assert family_union([]) == QSet()
 
 
 def test_family_union_singleton_index_is_the_entry():
     x = canonicalize([k(1), [A1]])
-    fam = IndexedFamily(index=qs(A1), entries={A1: x})
-    assert family_union(fam) == x
+    assert family_union([x]) == x
+
+
+def test_family_union_rejects_non_qset_entries():
+    with pytest.raises(TypeError):
+        family_union([qs((K, 1)), A1])
+
+
+def test_family_index_must_be_classical():
+    with pytest.raises(NonClassicalIndex):
+        family_from_pairs(QSet([PrimPair(K, qs(A1))]))
 
 
 def test_family_from_pairs():
     graph = QSet([PrimPair(A1, qs((K, 1))), PrimPair(A2, qs((J, 2)))])
-    fam = family_from_pairs(graph)
-    assert fam.index == qs(A1, A2)
-    assert family_union(fam) == qs((K, 1), (J, 2))
+    entries = family_from_pairs(graph)
+    assert entries == {A1: qs((K, 1)), A2: qs((J, 2))}
+    assert family_union(entries.values()) == qs((K, 1), (J, 2))
 
 
 def test_family_from_pairs_rejects_conflicts():

@@ -1,7 +1,10 @@
 """Lexer, parser and evaluator behaviour, including span bookkeeping."""
 
+import random
+
 import pytest
 
+from oracles import family_union_oracle, onf_value
 from qset import (
     CAtom,
     Classification,
@@ -13,6 +16,7 @@ from qset import (
     LexError,
     NotInUniverse,
     ParseError,
+    PrimPair,
     QSet,
     QuasiFunction,
 )
@@ -39,6 +43,9 @@ from qset.lang import (
 )
 
 from qset.gen import StructureGen
+from qset.lang.eval import _FORMS, _HANDLERS
+from qset.lang.parser import OPERATORS
+from qset.universe import CONSTRUCTORS
 
 
 def kinds_of(tokens):
@@ -336,6 +343,14 @@ def test_pair_literals_build_primitive_pairs():
     assert render(value) == "{<<m_K, m_K>, B>, <m_K, A>}"
 
 
+def test_operator_tables_agree():
+    assert set(OPERATORS) == set(_HANDLERS)
+    # a constructor form takes its operands, then the universe if relative
+    for row in CONSTRUCTORS:
+        n = row.arity + row.relative
+        assert OPERATORS[_FORMS[row.name]] == (n, n), row.name
+
+
 def test_operator_sweep():
     session = fresh()
     cases = {
@@ -465,15 +480,42 @@ def test_outcome_kinds():
     assert outcomes[-1].value == 1
 
 
+# Declares every kind and classical atom that StructureGen draws from.
+GEN_PRELUDE = (
+    "kind K1\nkind K2\nkind K3\n"
+    "matoms k1: K1^99\nmatoms k2: K2^99\nmatoms k3: K3^99\n"
+    "catom A1\ncatom A2\ncatom A3\n"
+)
+
+
+def fresh_gen():
+    session = Session()
+    run_program(GEN_PRELUDE, session)
+    return session
+
+
+def test_bigunion_matches_the_oracle_on_random_graphs():
+    rng = random.Random(5)
+    session = fresh_gen()
+    firsts = [CAtom("A1"), CAtom("A2"), CAtom("A3"), QSet(), QSet([CAtom("A1")])]
+    # few classes, so entries share classes at different counts
+    classes = [Kind("K1"), Kind("K2"), CAtom("A1"), QSet(), QSet([(Kind("K1"), 2)])]
+
+    def entry():
+        return QSet((d, 1 if isinstance(d, CAtom) else rng.randint(1, 3))
+                    for d in rng.sample(classes, rng.randint(0, 3)))
+
+    for _ in range(60):
+        index = rng.sample(firsts, rng.randint(0, 3))
+        entries = [entry() for _ in index]
+        graph = QSet(PrimPair(i, v) for i, v in zip(index, entries))
+        value = run_one("bigunion(%s)" % render(graph), session).value
+        assert onf_value(value) == family_union_oracle(entries), render(graph)
+
+
 def test_rendered_values_parse_back():
     gen = StructureGen(seed=11)
-    session = Session()
-    run_program(
-        "kind K1\nkind K2\nkind K3\n"
-        "matoms k1: K1^99\nmatoms k2: K2^99\nmatoms k3: K3^99\n"
-        "catom A1\ncatom A2\ncatom A3\n",
-        session,
-    )
+    session = fresh_gen()
     for _ in range(60):
         value = gen.qset(max_qcard=4, max_depth=2)
         text = render(value)

@@ -954,7 +954,7 @@ def test_audit_builds_each_part_once(monkeypatch):
     monkeypatch.undo()
     assert report.theorem1 and report.totals["cond4_checked"] > 0
     assert 0 < len(singletons) <= frag.elements.distinct_classes()
-    entry_sets = [frozenset(family.entries.values()) for (family,) in unions]
+    entry_sets = [frozenset(entries) for (entries,) in unions]
     assert entry_sets and len(entry_sets) == len(set(entry_sets))
     # each primitive pair of the cond3 products is built once, whatever products share it
     qsets = [d for d, _ in frag.elements.classes() if isinstance(d, QSet)]
