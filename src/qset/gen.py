@@ -11,7 +11,7 @@ import itertools
 import random
 from typing import Sequence
 
-from .kernel import CAtom, Kind, MAtom, QSet, RawPair, canonicalize
+from .kernel import CAtom, Kind, MAtom, PrimPair, QSet, RawPair
 from .morphism import QuasiFunction
 from .universe import BuildCaps, Fragment, build_fragment
 
@@ -46,35 +46,57 @@ class StructureGen:
     def labeled_build(self, max_qcard: int = 8, max_depth: int = 3,
                       allow_pairs: bool = True) -> list:
         """A labeled build (list tree) with at most max_qcard top elements."""
+        return self._draw(max_qcard, max_depth, allow_pairs, False)
+
+    def qset(self, max_qcard: int = 8, max_depth: int = 2, allow_pairs: bool = True) -> QSet:
+        """The canonical value of the labeled build these bounds would draw.
+
+        It makes the same RNG calls as ``labeled_build``, so from equal
+        states ``qset(...)`` equals ``canonicalize(labeled_build(...))``,
+        but it draws the value directly, with no labels.
+        """
+        return self._draw(max_qcard, max_depth, allow_pairs, True)
+
+    def _draw(self, max_qcard: int, max_depth: int, allow_pairs: bool, canonical: bool):
+        """The one draw sequence of builds: a labeled build, or its canonical value.
+
+        A canonical draw puts a kind where a build has a fresh atom and a
+        PrimPair where it has a RawPair, and counts a collection's entries
+        as ``canonicalize`` does: each fresh atom once, a classical atom
+        once however often drawn, nested collections and pairs by
+        occurrence.
+        """
         rng = self.rng
         budget = rng.randint(0, max_qcard)
         out: list = []
         for _ in range(budget):
             roll = rng.random()
             if max_depth > 0 and roll < 0.25:
-                out.append(self.labeled_build(max_qcard=max(1, max_qcard // 2),
-                                              max_depth=max_depth - 1,
-                                              allow_pairs=allow_pairs))
+                out.append(self._draw(max(1, max_qcard // 2), max_depth - 1, allow_pairs, canonical))
             elif allow_pairs and max_depth > 0 and roll < 0.33:
-                out.append(RawPair(self._pair_leaf(max_depth - 1), self._pair_leaf(max_depth - 1)))
+                first = self._pair_leaf(max_depth - 1, canonical)
+                second = self._pair_leaf(max_depth - 1, canonical)
+                out.append(PrimPair(first, second) if canonical else RawPair(first, second))
             elif roll < 0.66 or not self.catoms:
-                out.append(self.fresh_atom(rng.choice(self.kinds)))
+                kind = rng.choice(self.kinds)
+                out.append(kind if canonical else self.fresh_atom(kind))
             else:
                 out.append(rng.choice(self.catoms))
-        return out
+        if not canonical:
+            return out
+        counts: dict = {}
+        for entry in out:
+            counts[entry] = 1 if entry.__class__ is CAtom else counts.get(entry, 0) + 1
+        return QSet._of(counts)
 
-    def _pair_leaf(self, depth: int):
+    def _pair_leaf(self, depth: int, canonical: bool):
         rng = self.rng
         if depth > 0 and rng.random() < 0.3:
-            return self.labeled_build(max_qcard=2, max_depth=depth, allow_pairs=False)
-        if rng.random() < 0.6:
-            return self.fresh_atom(rng.choice(self.kinds))
-        return rng.choice(self.catoms) if self.catoms else self.fresh_atom(rng.choice(self.kinds))
-
-    def qset(self, max_qcard: int = 8, max_depth: int = 2, allow_pairs: bool = True) -> QSet:
-        value = canonicalize(self.labeled_build(max_qcard, max_depth, allow_pairs))
-        assert isinstance(value, QSet)
-        return value
+            return self._draw(2, depth, False, canonical)
+        if rng.random() < 0.6 or not self.catoms:
+            kind = rng.choice(self.kinds)
+            return kind if canonical else self.fresh_atom(kind)
+        return rng.choice(self.catoms)
 
     def kind_permutation(self, build) -> dict[MAtom, MAtom]:
         """A kind-preserving label bijection over the atoms of a build.
@@ -101,8 +123,9 @@ class StructureGen:
         cod_classes = [d for d, _ in cod.classes()]
         if dom_classes and not cod_classes:
             return None
-        graph = frozenset((a, self.rng.choice(cod_classes)) for a in dom_classes)
-        return QuasiFunction(dom, cod, graph)
+        choice = self.rng.choice
+        # one image per domain class: a quasi-function by construction
+        return QuasiFunction._of(dom, cod, {a: choice(cod_classes) for a in dom_classes})
 
     def composable_chain(self, length: int = 3, max_qcard: int = 5) -> list[QuasiFunction]:
         """length functions f1: A0 -> A1, f2: A1 -> A2, ... ready to compose."""

@@ -29,7 +29,7 @@ hereditary elements because nesting depth strictly decreases.
 
 ``QSet(...)`` checks every entry it is given.  The values the algebra
 builds already consist of canonical descriptors with counts of at least
-1, so ``algebra`` and ``universe`` build them with the private
+1, so ``algebra``, ``universe`` and ``gen`` build them with the private
 ``QSet._of(counts)``, which trusts its dict and takes ownership of it.
 Both ways end in the same sealing step, ``QSet._seal``, which orders
 the classes and computes the text, key, qcard, depth, classical flag
@@ -235,7 +235,8 @@ class QSet:
         """The quasi-set with exactly these classes, built without
         checking them.
 
-        For trusted internal callers only (``algebra`` and ``universe``):
+        For trusted internal callers only (``algebra``, ``universe`` and
+        ``gen``):
         every key of ``counts`` must already be a canonical descriptor
         (Kind, CAtom, QSet or PrimPair) and every count an int of at
         least 1, at most 1 for a CAtom.  The value takes ownership of

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .. import algebra
-from ..errors import EvalError, QsetError
+from ..errors import EvalError, NonClassicalIndex, QsetError
 from ..kernel import (
     CAtom,
     Kind,
@@ -378,7 +378,7 @@ def _op_bigunion(term, env):
     graph = _need_qset(term, env, 0)
     try:
         entries = algebra.family_from_pairs(graph)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, NonClassicalIndex) as err:
         raise EvalError(str(err), span=term.args[0].span) from err
     return algebra.family_union(entries.values())
 

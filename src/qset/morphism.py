@@ -8,14 +8,17 @@ change a graph's bookkeeping and identity laws would fail.
 
 A quasi-function is a quasi-relation whose graph pairs each domain
 class with exactly one codomain class: total, and sending
-indistinguishable arguments to indistinguishable values.
+indistinguishable arguments to indistinguishable values.  So it is
+stored as its class map, from each domain class to its image class,
+and its graph is derived from that map.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Sequence
 
 from . import _json
 from .errors import InvalidQuasiFunction, NotComposable
@@ -45,44 +48,79 @@ class QuasiRelation:
     dom: QSet
     cod: QSet
     graph: frozenset[GraphPair]
-    _functional: ClassVar[bool] = False
 
     def __post_init__(self):
-        object.__setattr__(self, "graph", frozenset((a, b) for a, b in self.graph))
-        if _first_fault(self, self.graph, self._functional) is not None:
-            # the graph iterates in hash order; name the first fault in canonical order
-            raise _first_fault(self, self.sorted_graph(), self._functional)
+        object.__setattr__(self, "graph", _checked_graph(self.dom, self.cod, self.graph, False))
 
     def sorted_graph(self) -> list[GraphPair]:
-        return sorted(self.graph, key=lambda ab: (ab[0].key, ab[1].key))
+        return sorted(self.graph, key=_pair_key)
 
 
-@dataclass(frozen=True)
 class QuasiFunction(QuasiRelation):
-    _functional: ClassVar[bool] = True
+    """A quasi-relation that pairs each domain class with exactly one
+    codomain class, stored as that class map.
+
+    ``map`` is a read-only mapping from each class of ``dom`` to its
+    image class in ``cod``; ``graph`` is derived from it on each read,
+    the frozenset of its items.  Equality and hash are extensional:
+    indistinguishable dom and cod, and the same map.
+    """
+
+    def __init__(self, dom: QSet, cod: QSet, graph: Iterable[GraphPair]):
+        cmap = dict(_checked_graph(dom, cod, graph, True))
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "map", MappingProxyType(cmap))
 
     @classmethod
-    def _of(cls, dom: QSet, cod: QSet, graph: frozenset) -> "QuasiFunction":
-        """The quasi-function with this graph, built without checking it.
+    def _of(cls, dom: QSet, cod: QSet, cmap: dict) -> "QuasiFunction":
+        """The quasi-function with this class map, built without checking it.
 
-        For trusted internal callers only (``compose`` and ``identity``):
-        ``graph`` must be a frozenset of 2-tuples that pairs every class
-        of ``dom`` with exactly one class of ``cod``.
+        For trusted internal callers only (``compose``, ``identity`` and
+        ``gen``): ``cmap`` must map every class of ``dom``, and nothing
+        else, to a class of ``cod``.  The value takes ownership of the
+        dict, so the caller passes a fresh one and never mutates it
+        afterwards.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "map", MappingProxyType(cmap))
         return self
 
+    @property
+    def graph(self) -> frozenset[GraphPair]:
+        return frozenset(self.map.items())
 
-def _first_fault(q: QuasiRelation, pairs, functional: bool) -> Exception | None:
-    """The first fault met walking q's graph as ``pairs``: a pair off the domain or the codomain,
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return qfun_equiv(self, other)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.graph))
+
+
+def _pair_key(ab: GraphPair):
+    return (ab[0].key, ab[1].key)
+
+
+def _checked_graph(dom: QSet, cod: QSet, graph: Iterable[GraphPair], functional: bool) -> frozenset:
+    """``graph`` as a frozenset of pairs, or the first fault in canonical order raised."""
+    graph = frozenset((a, b) for a, b in graph)
+    if _first_fault(dom, cod, graph, functional) is not None:
+        # the graph iterates in hash order; name the first fault in canonical order
+        raise _first_fault(dom, cod, sorted(graph, key=_pair_key), functional)
+    return graph
+
+
+def _first_fault(dom: QSet, cod: QSet, pairs, functional: bool) -> Exception | None:
+    """The first fault met walking a graph as ``pairs``: a pair off the domain or the codomain,
     then, if ``functional``, a domain class with two images, then one with none.  None if none."""
     for a, b in pairs:
-        if q.dom.count(a) == 0:
+        if dom.count(a) == 0:
             return ValueError("graph uses %s, not a class of the domain" % canonical_text(a))
-        if q.cod.count(b) == 0:
+        if cod.count(b) == 0:
             return ValueError("graph uses %s, not a class of the codomain" % canonical_text(b))
     if functional:
         seen: set[ElementDesc] = set()
@@ -91,7 +129,7 @@ def _first_fault(q: QuasiRelation, pairs, functional: bool) -> Exception | None:
                 return InvalidQuasiFunction(
                     "domain class %s is paired with two codomain classes" % canonical_text(a))
             seen.add(a)
-        for desc, _ in q.dom.classes():
+        for desc, _ in dom.classes():
             if desc not in seen:
                 return InvalidQuasiFunction("domain class %s has no image" % canonical_text(desc))
     return None
@@ -103,33 +141,36 @@ def quasi_function(dom: QSet, cod: QSet, graph: Iterable[GraphPair]) -> QuasiFun
 
 def is_quasi_function(q: QuasiRelation) -> bool:
     """Class-functional and total on the domain's classes."""
-    return _first_fault(q, q.graph, True) is None
+    return _first_fault(q.dom, q.cod, q.graph, True) is None
 
 
 def identity(a: QSet) -> QuasiFunction:
-    return QuasiFunction._of(a, a, frozenset([(desc, desc) for desc, _ in a.classes()]))
+    return QuasiFunction._of(a, a, {desc: desc for desc, _ in a.classes()})
 
 
 def compose(g: QuasiFunction, f: QuasiFunction) -> QuasiFunction:
     """g after f.  Defined when cod(f) and dom(g) are indistinguishable.
 
-    The composite of two quasi-functions is one, so it is built without
-    the public constructor's checks; a composite with a bare relation is
-    checked.
+    A bare ``QuasiRelation`` argument goes through the public
+    ``QuasiFunction`` constructor first, so it raises unless it is a
+    quasi-function.  The composite of two quasi-functions is one, so it
+    is built from their class maps without the constructor's checks.
     """
+    if not isinstance(f, QuasiFunction):
+        f = QuasiFunction(f.dom, f.cod, f.graph)
+    if not isinstance(g, QuasiFunction):
+        g = QuasiFunction(g.dom, g.cod, g.graph)
     if f.cod != g.dom:
         raise NotComposable(
             "cannot compose: cod %s differs from dom %s" % (f.cod.text, g.dom.text)
         )
-    gmap = dict(g.graph)
-    trusted = isinstance(f, QuasiFunction) and isinstance(g, QuasiFunction)
-    make = QuasiFunction._of if trusted else QuasiFunction
-    return make(f.dom, g.cod, frozenset([(a, gmap[b]) for a, b in f.graph]))
+    gmap = g.map
+    return QuasiFunction._of(f.dom, g.cod, {a: gmap[b] for a, b in f.map.items()})
 
 
 def qfun_equiv(f: QuasiFunction, g: QuasiFunction) -> bool:
-    """Extensional agreement: same dom and cod forms, same class graph."""
-    return f.dom == g.dom and f.cod == g.cod and f.graph == g.graph
+    """Extensional agreement: same dom and cod forms, same class map."""
+    return f.dom == g.dom and f.cod == g.cod and f.map == g.map
 
 
 def describe(f: QuasiRelation) -> str:

@@ -190,7 +190,7 @@ def test_qfun_diagnostics_name_the_first_fault_whatever_the_hash_seed(call, mess
 
 @pytest.mark.parametrize("call, message, caret", [
     ("bigunion({<k, {k}>})", "family index must be classical (no m-atoms anywhere)",
-     "^^^^^^^^^^^^^^^^^^^^"),
+     "         ^^^^^^^^^^"),
     ("bigunion({<A, k>})", "family entry for A must be a quasi-set",
      "         ^^^^^^^^"),
     ("bigunion({A})", "family graph elements must be pairs, got A",
@@ -201,7 +201,7 @@ def test_qfun_diagnostics_name_the_first_fault_whatever_the_hash_seed(call, mess
      "         ^^^^^^^^^^^^^^^^^^"),
 ], ids=["classical", "entry", "pairs", "two-entries", "entry-before-classical"])
 def test_bigunion_diagnostics(call, message, caret, monkeypatch, capsys):
-    # a non-classical index is found after the graph is read, and points at the whole call
+    # every fault of the family graph, a non-classical index too, points at the graph argument
     assert eval_stdin(monkeypatch, PRELUDE + call + "\n") == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -474,3 +474,21 @@ def test_equal_values_share_hash_and_text(build):
     assert x == y
     assert hash(x) == hash(y)
     assert x.text == y.text
+
+
+_DRAW_BOUNDS = [(q, d, p) for q in range(9) for d in range(4) for p in (True, False)]
+
+
+def test_generated_values_are_the_canonical_forms_of_generated_builds():
+    # gen.qset draws values directly; from equal states it must give the
+    # canonical form of the build labeled_build draws, and leave the RNG
+    # in the same state, so later draws stay in step too
+    for seed in range(300):
+        catoms = [] if seed % 5 == 4 else None
+        direct, labeled = StructureGen(seed, catoms=catoms), StructureGen(seed, catoms=catoms)
+        for i in range(4):
+            bounds = _DRAW_BOUNDS[(4 * seed + i) % len(_DRAW_BOUNDS)]
+            value = direct.qset(*bounds)
+            assert type(value) is QSet
+            assert value.text == canonicalize(labeled.labeled_build(*bounds)).text, (seed, bounds)
+            assert direct.rng.getstate() == labeled.rng.getstate(), (seed, bounds)

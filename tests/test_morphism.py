@@ -138,12 +138,15 @@ def test_composition_closure_small():
 
 def test_trusted_results_equal_validated_construction():
     # compose and identity build their results without the public
-    # constructor's checks; each must be the value that constructor
-    # builds from the relational composite, and a quasi-function
+    # constructor's checks; each must be the value that
+    # constructor builds from the relational composite, and a quasi-function,
+    # with the class map of that composite
     pool = flat_qsets([K, J], [A1], 2)
     for a in pool:
         ident = identity(a)
-        assert ident == QuasiFunction(a, a, [(d, d) for d, _ in a.classes()])
+        pairs = [(d, d) for d, _ in a.classes()]
+        assert ident == QuasiFunction(a, a, pairs)
+        assert ident.map == dict(pairs)
         assert congruence_oracle(ident)
         for b in pool:
             for f in all_quasi_functions(a, b):
@@ -154,7 +157,28 @@ def test_trusted_results_equal_validated_construction():
                         checked = QuasiFunction(f.dom, g.cod, graph)
                         assert type(gf) is QuasiFunction
                         assert gf == checked and hash(gf) == hash(checked)
+                        assert gf.map == dict(graph) == checked.map
                         assert congruence_oracle(gf)
+
+
+def test_generated_quasi_functions_equal_validated_construction():
+    # gen.quasi_function builds through QuasiFunction._of, unchecked
+    made = 0
+    for seed in range(60):
+        gen = StructureGen(seed)
+        dom = gen.qset(max_qcard=4, max_depth=1)
+        cod = gen.qset(max_qcard=4, max_depth=1)
+        f = gen.quasi_function(dom, cod)
+        if f is None:
+            assert dom.qcard > 0 and cod.qcard == 0
+            continue
+        checked = QuasiFunction(f.dom, f.cod, f.graph)
+        assert type(f) is QuasiFunction
+        assert f == checked and hash(f) == hash(checked)
+        assert f.map == checked.map
+        assert congruence_oracle(f)
+        made += 1
+    assert made >= 40
 
 
 @pytest.mark.parametrize(
@@ -184,6 +208,11 @@ def test_compose_checks_a_bare_relation():
         compose(identity(cod), partial)
     total = QuasiRelation(dom, cod, frozenset([(K, J), (A1, J)]))
     assert compose(identity(cod), total) == QuasiFunction(dom, cod, total.graph)
+    # a relation with two images for one class is refused, not read as
+    # whichever image its hash-ordered graph lists last
+    split = QuasiRelation(cod, qs(A1, A2), frozenset([(J, A1), (J, A2)]))
+    with pytest.raises(InvalidQuasiFunction, match="^domain class m_J is paired with two codomain classes$"):
+        compose(split, quasi_function(dom, cod, [(K, J), (A1, J)]))
 
 
 # -- equivalence of quasi-functions --------------------------------------
