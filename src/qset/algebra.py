@@ -130,6 +130,11 @@ def union(x: QSet, y: QSet) -> QSet:
 
 def family_union(entries: Iterable[QSet]) -> QSet:
     """Union of a family's entries, each class at its largest count; the index plays no part."""
+    return QSet._of(_largest_counts(entries))
+
+
+def _largest_counts(entries: Iterable[QSet]) -> dict[ElementDesc, int]:
+    """Each class of the entries, at its largest count among them."""
     counts: dict[ElementDesc, int] = {}
     for entry in entries:
         if not isinstance(entry, QSet):
@@ -137,7 +142,7 @@ def family_union(entries: Iterable[QSet]) -> QSet:
         for desc, n in entry.classes():
             if counts.get(desc, 0) < n:
                 counts[desc] = n
-    return QSet._of(counts)
+    return counts
 
 
 def family_from_pairs(graph: QSet) -> dict[ElementDesc, QSet]:

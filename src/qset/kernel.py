@@ -33,7 +33,9 @@ builds already consist of canonical descriptors with counts of at least
 ``QSet._of(counts)``, which trusts its dict and takes ownership of it.
 Both ways end in the same sealing step, ``QSet._seal``, which orders
 the classes and computes the text, key, qcard, depth, classical flag
-and hash.
+and hash.  The text comes from ``_render``, the one rendering rule,
+which the closure audit also uses to write a result's text without
+building the result.
 
 M-atom labels exist only inside "labeled builds": plain Python lists
 (for collections) containing MAtom/CAtom leaves and RawPair nodes.
@@ -187,6 +189,13 @@ def _class_key(entry):
     return entry[0].key
 
 
+def _render(classes) -> str:
+    """The canonical text of a quasi-set with these ``(descriptor,
+    count)`` classes, given in canonical order: the class texts in
+    braces, a count above 1 written ``^n``."""
+    return "{%s}" % ", ".join([d.text if n == 1 else "%s^%d" % (d.text, n) for d, n in classes])
+
+
 class QSet:
     """A canonical quasi-set.
 
@@ -251,7 +260,7 @@ class QSet:
         # the one place a QSet's cached attributes are computed from its classes
         self._items = items = tuple(sorted(counts.items(), key=_class_key))
         self._counts = counts
-        self._text = text = "{%s}" % ", ".join([d.text if n == 1 else "%s^%d" % (d.text, n) for d, n in items])
+        self._text = text = _render(items)
         self._key = (2, text)
         self._qcard = sum(counts.values())
         self._depth = 1 + max([d.depth for d in counts]) if counts else 0

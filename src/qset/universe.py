@@ -14,6 +14,8 @@ writes it, reproduces the fragment's exact element multiset.
 ``check_qED`` audits how far a fragment is from being closed: for each
 closure condition it records the member combinations whose required
 result is missing, from one sweep per section in report order.  A
+result is decided and reported by its canonical text alone, so the
+audit builds no result value but a power.  A
 finite fragment is always defective somewhere (the power of a deepest
 element cannot be inside), which is the point: the audit measures the
 shape of the failure, it does not pretend closure.
@@ -25,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from . import _json, algebra
 from .errors import CapExceeded, EmptyUniverse
@@ -34,6 +36,8 @@ from .kernel import (
     ElementDesc,
     PrimPair,
     QSet,
+    _class_key,
+    _render,
     canonicalize,
 )
 from .morphism import CategoryPresentation
@@ -76,6 +80,10 @@ class Constructor:
     constructor also reads the universe, through the ``Parts`` that
     ``apply`` takes.  ``cap`` returns the cutoff reason when the caps
     refuse the operands, else None; it reads only the operands' qcards.
+    ``apply`` is the one definition of the constructor, and ``text``,
+    which the audit uses, returns exactly ``apply(args, parts,
+    caps).text`` for any operands the cap does not refuse; it builds no
+    value, except for power, whose text is its value's.
     ``hits(pool, universe, index)`` maps every operand tuple of the
     row's sweep over ``pool`` whose result is a member of a
     ``MemberIndex`` to that member, and builds no value on the way.
@@ -92,6 +100,7 @@ class Constructor:
     relative: bool
     cap: Callable[[tuple, BuildCaps], str | None]
     apply: Callable[[tuple, "Parts | None", BuildCaps], QSet]
+    text: Callable[[tuple, "Parts", BuildCaps], str]
     hits: Callable[[list, QSet, "MemberIndex"], dict[tuple, QSet]]
 
     def pool(self, members: list) -> list:
@@ -114,24 +123,30 @@ class Parts:
     """A universe and the constructor parts built against it so far.
 
     The relative constructors are made of class singletons and pairs,
-    products over member pairs repeat the primitive pairs of member
-    classes, and an audit also unions families whose entry sets repeat.
-    A caller that applies many constructors to one fixed universe (a
-    build or replay round, an audit) keeps one ``Parts`` and builds each
-    part once; the parts go when it does.  Every part depends only on
-    its key and the universe, a primitive pair only on its two
-    components, and values are immutable, so a shared part is exactly
-    the value a fresh call would build.
+    and products over member pairs repeat the primitive pairs of member
+    classes.  A caller that applies many constructors to one fixed
+    universe (a build or replay round, a script's call) keeps one
+    ``Parts`` and builds each part once; the parts go when it does.
+    The audit keeps one too, but asks it only for texts: the singleton
+    and pair texts, each member's classes sorted as a product's operand,
+    and the union text per set of entries, each made once.  Every part
+    depends only on its key and the universe, a primitive pair only on
+    its two components, and values are immutable, so a shared part is
+    exactly the value, or text, a fresh call would give.
     """
 
-    __slots__ = ("universe", "_singletons", "_pairs", "_prim_pairs", "_unions")
+    __slots__ = ("universe", "_singletons", "_pairs", "_prim_pairs",
+                 "_singleton_texts", "_pair_texts", "_operand_classes", "_union_texts")
 
     def __init__(self, universe: QSet):
         self.universe = universe
         self._singletons: dict = {}
         self._pairs: dict[frozenset, QSet] = {}
         self._prim_pairs: dict[tuple, PrimPair] = {}
-        self._unions: dict[frozenset, QSet] = {}
+        self._singleton_texts: dict = {}
+        self._pair_texts: dict[tuple, str] = {}
+        self._operand_classes: dict[QSet, tuple[list, list]] = {}
+        self._union_texts: dict[frozenset, str] = {}
 
     def singleton(self, x) -> QSet:
         # exact: singleton_in(x, u) reads only x and u's count of it
@@ -159,14 +174,70 @@ class Parts:
             p = self._prim_pairs[a, b] = PrimPair(a, b)
         return p
 
-    def family_union(self, entries: Sequence[QSet]) -> QSet:
-        """The union of a family with these entries."""
+    def singleton_text(self, x) -> str:
+        # exact: singleton_in(x, u) is the one class (x, u.count(x))
+        t = self._singleton_texts.get(x)
+        if t is None:
+            t = self._singleton_texts[x] = _render(((x, self.universe.count(x)),))
+        return t
+
+    def pair_text(self, x, y) -> str:
+        # exact: pair_in(x, y, u) is the classes (x, u.count(x)) and (y, u.count(y)) in key order, so
+        # the same for (y, x), and the singleton when x == y
+        t = self._pair_texts.get((x, y))
+        if t is None:
+            if x == y:
+                t = self.singleton_text(x)
+            else:
+                lo, hi = (x, y) if x.key < y.key else (y, x)
+                count = self.universe.count
+                t = _render(((lo, count(lo)), (hi, count(hi))))
+            self._pair_texts[x, y] = self._pair_texts[y, x] = t
+        return t
+
+    def opair_text(self, x, y) -> str:
+        # exact: opair_from(s, p) is {s, p} once each, two quasi-sets and so in text order, and {s}
+        # when x == y makes p the singleton s
+        s, p = self.singleton_text(x), self.pair_text(x, y)
+        if s == p:
+            return "{%s}" % s
+        return "{%s, %s}" % ((s, p) if s < p else (p, s))
+
+    def product_text(self, x: QSet, y: QSet) -> str:
+        # exact: product(x, y) counts each pair <a, b> x.count(a) * y.count(b), and a pair's text is
+        # "<" + a.text + ", " + b.text + ">".  A text that is a proper prefix of another is an
+        # identifier, followed there by an identifier character, and "," sorts below all of them;
+        # so x's classes by text, then y's by text + ">", give the pairs in canonical order; a count
+        # above 1 is written ^n, as _render writes it
+        xs = self._operand_classes.get(x) or self._operands(x)
+        ys = self._operand_classes.get(y) or self._operands(y)
+        return "{%s}" % ", ".join([
+            "<%s, %s" % (a, b) if na * nb == 1 else "<%s, %s^%d" % (a, b, na * nb)
+            for a, na in xs[0] for b, nb in ys[1]
+        ])
+
+    def _operands(self, x: QSet) -> tuple[list, list]:
+        # x's classes as a product's first operand, (text, count) by text, and as its second,
+        # (text + ">", count) by that
+        classes = self._operand_classes[x] = (
+            sorted([(d.text, n) for d, n in x.classes()]),
+            sorted([(d.text + ">", n) for d, n in x.classes()]),
+        )
+        return classes
+
+    def union_text(self, entries: Sequence[QSet]) -> str:
+        """The text of the union of these entries."""
         # exact: union is associative, commutative and idempotent, so only the set of entries matters
         key = frozenset(entries)
-        result = self._unions.get(key)
-        if result is None:
-            result = self._unions[key] = algebra.family_union(entries)
-        return result
+        t = self._union_texts.get(key)
+        if t is None:
+            t = self._union_texts[key] = _union_text(key)
+        return t
+
+
+def _union_text(entries: Iterable[QSet]) -> str:
+    # exact: family_union seals the entries' largest counts, and a seal renders its classes in key order
+    return _render(sorted(algebra._largest_counts(entries).items(), key=_class_key))
 
 
 class MemberIndex:
@@ -326,28 +397,35 @@ CONSTRUCTORS = (
     Constructor("power", "cond1", 1, True, False, False,
                 lambda a, caps: "power-cap" if a[0].qcard > caps.power_qcard else None,
                 lambda a, parts, caps: algebra.power(*a, cap=caps.power_qcard),
+                lambda a, parts, caps: algebra.power(*a, cap=caps.power_qcard).text,
                 _hits_power),
     Constructor("singleton", "cond2", 1, False, False, True, _uncapped,
                 lambda a, parts, caps: parts.singleton(*a),
+                lambda a, parts, caps: parts.singleton_text(*a),
                 _hits_singleton),
     Constructor("union", "theorem1", 2, True, True, False, _uncapped,
                 lambda a, parts, caps: algebra.union(*a),
+                lambda a, parts, caps: parts.union_text(a),
                 _hits_union),
     Constructor("product", "cond3", 2, True, False, False,
                 lambda a, caps: "product-cap" if a[0].qcard * a[1].qcard > caps.product_qcard else None,
                 lambda a, parts, caps: algebra.product(
                     *a, cap=caps.product_qcard, pair=PrimPair if parts is None else parts.prim_pair),
+                lambda a, parts, caps: parts.product_text(*a),
                 _hits_product),
     Constructor("pair", "theorem1", 2, False, True, True, _uncapped,
                 lambda a, parts, caps: parts.pair(*a),
+                lambda a, parts, caps: parts.pair_text(*a),
                 _hits_pair),
     Constructor("opair", "theorem1", 2, False, False, True, _uncapped,
                 lambda a, parts, caps: parts.opair(*a),
+                lambda a, parts, caps: parts.opair_text(*a),
                 _hits_opair),
 )
 
-FAMILY_UNION = Constructor("family_union", "cond4", 0, False, False, True, _uncapped,
-                           lambda a, parts, caps: parts.family_union(a[len(a) // 2:]), None)
+FAMILY_UNION = Constructor("family_union", "cond4", 0, False, False, False, _uncapped,
+                           lambda a, parts, caps: algebra.family_union(a[len(a) // 2:]),
+                           lambda a, parts, caps: parts.union_text(a[len(a) // 2:]), None)
 
 # Audit sections in report order; each holds the rows whose ``section`` it is.
 SECTIONS = ("cond1", "cond2", "cond3", "cond4", "theorem1")
@@ -600,14 +678,16 @@ def replay_ledger(ledger: Iterable[LedgerEntry], caps: BuildCaps = BuildCaps()) 
 # -- closure audit ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Defect:
-    """A missing closure result: witnesses, the operation, the absentee."""
+class Defect(NamedTuple):
+    """A missing closure result: the section, the operation, its
+    witnesses and the absentee.  ``missing`` is the canonical text of the
+    result that is not a member, or None when a cap refused the
+    operands, with the cap as ``note``."""
 
     condition: str
     operation: str
     witnesses: tuple
-    missing: ElementDesc | None
+    missing: str | None
     note: str = ""
 
     def to_dict(self) -> dict:
@@ -615,7 +695,7 @@ class Defect:
             "condition": self.condition,
             "operation": self.operation,
             "witnesses": [w.text for w in self.witnesses],
-            "missing": None if self.missing is None else self.missing.text,
+            "missing": self.missing,
         }
         if self.note:
             d["note"] = self.note
@@ -671,18 +751,23 @@ def check_qED(
     audited separately as the theorem-1 section.
 
     Each section is one ``_section_sweep`` in report order, and each
-    check is a build's step, cap then apply: a cap refusal is a defect
-    with the cap as its note, a result that is not a member one that
-    names it.  The checks share one ``Parts``, so each class singleton,
-    unordered pair, primitive pair and family union (per set of entries)
-    is built once; the universe is fixed, so a shared part is what a
-    fresh build gives.
+    check is a build's step with texts for values, cap then the row's
+    ``text``: a cap refusal is a defect with the cap as its note, and a
+    result whose text is no member's is a defect that names it by that
+    text.  A value is its canonical text, and texts differ across kinds,
+    atoms, quasi-sets and pairs, so the test on texts is membership
+    exactly.  No result value is built but a power.  The checks share
+    one ``Parts``, so each singleton and pair text, each member's sorted
+    product classes and each union text (per set of entries) is made
+    once; the universe is fixed, so a shared part is what a fresh call
+    gives.
     """
     universe = _as_universe(u)
     if universe.qcard == 0:
         raise EmptyUniverse("cannot audit an empty universe")
     parts = Parts(universe)
     ordered = [d for d, _ in universe.classes()]
+    member_texts = {d.text for d in ordered}
     defects: dict[str, list[Defect]] = {}
     totals = {"members": len(ordered)}
     for section in SECTIONS:
@@ -692,11 +777,12 @@ def check_qED(
         for row, args in itertools.islice(sweep, max_families) if section == "cond4" else sweep:
             checked += 1
             cutoff = row.cap(args, caps)
-            result = None if cutoff is not None else row.apply(args, parts, caps)
             if cutoff is not None:
-                found.append(Defect(section, row.name, args, None, note=cutoff))
-            elif universe.count(result) == 0:
-                found.append(Defect(section, row.name, args, result))
+                found.append(Defect(section, row.name, args, None, cutoff))
+                continue
+            text = row.text(args, parts, caps)
+            if text not in member_texts:
+                found.append(Defect(section, row.name, args, text))
         totals[section + "_checked"] = checked
         if section == "cond4":
             totals["cond4_truncated"] = next(sweep, None) is not None

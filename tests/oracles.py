@@ -67,6 +67,26 @@ def onf_value(value):
     raise TypeError("not a value: %r" % (value,))
 
 
+_ONF_RANK = {"m": 0, "c": 1, "q": 2, "p": 3}
+
+
+def onf_text(form) -> str:
+    """The canonical text of a normal form, rendered from the form alone:
+    a kind's atoms as ``m_<kind>``, a classical atom as its id, a pair as
+    ``<first, second>``, and a collection as its classes in braces:
+    kinds, then classical atoms, collections and pairs, each group by
+    text, a count above 1 written ``^n``."""
+    tag = form[0]
+    if tag == "m":
+        return "m_" + form[1]
+    if tag == "c":
+        return form[1]
+    if tag == "p":
+        return "<%s, %s>" % (onf_text(form[1]), onf_text(form[2]))
+    entries = sorted((_ONF_RANK[f[0]], onf_text(f), n) for f, n in form[1])
+    return "{" + ", ".join(text if n == 1 else "%s^%d" % (text, n) for _, text, n in entries) + "}"
+
+
 def classes_by_onf(x: QSet) -> dict:
     return {onf_value(d): n for d, n in x.classes()}
 

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import audit_oracle, onf_value
+from oracles import audit_oracle, onf_text, onf_value
 from qset import (
     BuildCaps,
     CapExceeded,
@@ -935,34 +935,110 @@ def test_audit_reports_are_pinned(seeds, depth, caps, digest):
     assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == digest
 
 
-def test_audit_builds_each_part_once(monkeypatch):
-    singletons = []
+def test_audit_builds_no_result_but_powers(monkeypatch):
+    # every check but a power is decided from texts: no other constructor,
+    # primitive pair, Parts value or sealed quasi-set comes out of the
+    # audit, and each union text (per set of entries) and each member's
+    # sorted product classes are made once
+    calls = []
+    in_power = [0]
     unions = []
-    prim_pairs = []
+    operands = []
 
-    def recording(calls, fn):
+    def refused(name, fn):
         def wrapped(*args, **kwargs):
-            calls.append(args)
+            calls.append(name)
             return fn(*args, **kwargs)
         return wrapped
 
+    def inside_power(fn):
+        def wrapped(*args, **kwargs):
+            in_power[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                in_power[0] -= 1
+        return wrapped
+
+    def sealing(self, counts):
+        if not in_power[0]:
+            calls.append("QSet._seal")
+        return seal(self, counts)
+
+    def recording(log, fn):
+        def wrapped(*args):
+            log.append(args[-1])
+            return fn(*args)
+        return wrapped
+
     frag = build_fragment([qs((K, 1)), qs((J, 2)), A1, A2], 1)
-    monkeypatch.setattr(algebra, "singleton_in", recording(singletons, algebra.singleton_in))
-    monkeypatch.setattr(algebra, "family_union", recording(unions, algebra.family_union))
-    monkeypatch.setattr(PrimPair, "__init__", recording(prim_pairs, PrimPair.__init__))
+    seal = QSet._seal
+    for name in ("singleton_in", "pair_in", "opair_in", "opair_from", "union", "product", "family_union"):
+        monkeypatch.setattr(algebra, name, refused(name, getattr(algebra, name)))
+    monkeypatch.setattr(algebra, "power", refused("power", inside_power(algebra.power)))
+    monkeypatch.setattr(PrimPair, "__init__", refused("PrimPair", PrimPair.__init__))
+    for name in ("singleton", "pair", "opair", "prim_pair"):
+        method = getattr(universe_module.Parts, name)
+        monkeypatch.setattr(universe_module.Parts, name, refused("Parts." + name, method))
+    monkeypatch.setattr(QSet, "_seal", sealing)
+    monkeypatch.setattr(universe_module, "_union_text", recording(unions, universe_module._union_text))
+    monkeypatch.setattr(universe_module.Parts, "_operands", recording(operands, universe_module.Parts._operands))
     report = check_qED(frag, caps=frag.caps)
     monkeypatch.undo()
-    assert report.theorem1 and report.totals["cond4_checked"] > 0
-    assert 0 < len(singletons) <= frag.elements.distinct_classes()
-    entry_sets = [frozenset(entries) for (entries,) in unions]
-    assert entry_sets and len(entry_sets) == len(set(entry_sets))
-    # each primitive pair of the cond3 products is built once, whatever products share it
+    assert report.theorem1 and report.cond3 and report.totals["cond4_checked"] > 0
+    assert set(calls) == {"power"}
+    assert unions and len(unions) == len(set(unions))
+    # products share member classes as operands, and each member's sorted classes are made once
     qsets = [d for d, _ in frag.elements.classes() if isinstance(d, QSet)]
-    products = [(x, y) for x in qsets for y in qsets if x.qcard * y.qcard <= frag.caps.product_qcard]
-    product_pairs = {(a, b) for x, y in products for a, _ in x.classes() for b, _ in y.classes()}
-    assert len(product_pairs) < sum(x.distinct_classes() * y.distinct_classes() for x, y in products)
-    components = [args[1:] for args in prim_pairs]
-    assert 0 < len(components) == len(set(components)) <= len(product_pairs)
+    assert report.totals["cond3_checked"] == len(qsets) ** 2 > len(qsets)
+    assert 0 < len(operands) == len(set(operands)) <= len(qsets)
+
+
+def _prefix_named_universes():
+    # kind and atom names that are prefixes of each other, so texts are too: m_K of m_K1, A of A1
+    kinds = [Kind(name) for name in ("K", "K1", "K_", "KA")]
+    atoms = [CAtom(name) for name in ("A", "A1", "Az", "A_")]
+    K0, A0 = kinds[0], atoms[0]
+    yield QSet([(K0, 2), A0, atoms[1], QSet(), PrimPair(K0, A0), qs((kinds[1], 3), A0),
+                qs(PrimPair(A0, atoms[2]), (PrimPair(atoms[1], K0), 2)), qs((K0, 1)), qs((K0, 2), atoms[3])])
+    gen = StructureGen(25, kinds=kinds, catoms=atoms)
+    for _ in range(100):
+        caps = BuildCaps(max_members=gen.rng.randint(4, 12), power_qcard=gen.rng.randint(1, 6),
+                         product_qcard=gen.rng.randint(1, 60))
+        yield gen.fragment(max_seeds=4, max_depth=2, caps=caps).elements
+
+
+def test_text_column_is_the_text_of_apply():
+    # for every row, and the audit's families, the text of a result is read without building it
+    caps = BuildCaps(power_qcard=4, product_qcard=40)
+    seen = set()
+    for universe in _prefix_named_universes():
+        ordered = [d for d, _ in universe.classes()]
+        parts, reference = universe_module.Parts(universe), universe_module.Parts(universe)
+        checks = [(row, args) for row in universe_module.CONSTRUCTORS for args in row.operands(ordered)]
+        checks += itertools.islice(universe_module._section_sweep("cond4", ordered, 3), 200)
+        for row, args in checks:
+            if row.cap(args, caps) is not None:
+                continue
+            assert row.text(args, parts, caps) == row.apply(args, reference, caps).text, (row.name, args)
+            if row.arity == 2 and args[0] == args[1]:
+                seen.add("x == y")
+            if any(isinstance(a, PrimPair) for a in args):
+                seen.add("pair member")
+            if {type(a) for a in args} == {Kind, CAtom}:
+                seen.add("kind with atom")
+            if any(isinstance(a, QSet) and not a for a in args):
+                seen.add("empty operand")
+            if any(universe.count(a) > 1 or isinstance(a, QSet) and a.qcard > a.distinct_classes() for a in args):
+                seen.add("count above 1")
+            if row.name == "product":
+                pairs = [(a.text, b.text) for a, _ in args[0].classes() for b, _ in args[1].classes()]
+                if sorted(pairs) != sorted(pairs, key="<%s, %s>".__mod__):
+                    seen.add("prefix order")
+            if row is universe_module.FAMILY_UNION and len(args) > 4:
+                seen.add("three entries")
+    assert seen == {"x == y", "pair member", "kind with atom", "empty operand", "count above 1",
+                    "prefix order", "three entries"}
 
 
 def test_audit_rejects_empty_universe():
@@ -976,7 +1052,7 @@ def test_smallest_universe_has_a_power_defect():
     assert len(report.cond1) >= 1
     defect = report.cond1[0]
     assert defect.operation == "power"
-    assert defect.missing == QSet([QSet()])
+    assert defect.missing == QSet([QSet()]).text
 
 
 def test_padding_cures_the_atom_singleton_defect():
@@ -1080,8 +1156,13 @@ def test_audit_totals_have_closed_forms():
 
 
 def _as_forms(defect):
-    missing = defect.note if defect.missing is None else onf_value(defect.missing)
+    missing = defect.note if defect.missing is None else defect.missing
     return defect.operation, tuple(map(onf_value, defect.witnesses)), missing
+
+
+def _oracle_texts(defects):
+    # a missing result as its text, rendered from the oracle's form; a cap note as it is
+    return [(op, witnesses, r if isinstance(r, str) else onf_text(r)) for op, witnesses, r in defects]
 
 
 def test_audits_match_the_oracle_on_random_fragments():
@@ -1105,8 +1186,8 @@ def test_audits_match_the_oracle_on_random_fragments():
         expected = audit_oracle(elements, caps, bound, max_families)
         for section in universe_module.SECTIONS:
             got = [_as_forms(d) for d in getattr(report, section)]
-            assert Counter(got) == Counter(expected[section]), section
-            seen.update((section, missing) for _, _, missing in got if isinstance(missing, str))
+            assert Counter(got) == Counter(_oracle_texts(expected[section])), section
+            seen.update((section, d.note) for d in getattr(report, section) if d.note)
         if report.totals["cond4_truncated"]:
             seen.add("truncated")
         if report.cond4:
