@@ -3,8 +3,16 @@
 ``dumps(doc)`` returns exactly what the stdlib's ``json.dumps`` returns
 with an indent of 2 and its other defaults (``ensure_ascii`` included)
 for the types the package emits: dicts with ``str`` keys, lists,
-tuples, ``str``, ``int``, ``bool`` and ``None``.  Anything else raises
-``TypeError``: non-``str`` keys, floats and sets included, which the
+tuples, ``str``, ``int``, ``bool`` and ``None``.  A node of any other
+type that has a ``_write_json(newline, out)`` method writes itself:
+``ClosureReport`` and ``Fragment`` append to ``out`` the bytes that
+``json.dumps(x.to_dict(), indent=2)`` gives, starting at the
+newline-plus-indent ``newline`` they are handed, so they write the same
+bytes at the top of a document and nested in a CLI envelope.  Their
+defects and ledger entries have fixed shapes, so they are written from
+key literals with no dict built; ``to_dict`` stays their public form
+and the tests' oracle.  Anything else raises ``TypeError``: non-``str``
+keys, floats, sets and objects without the hook included, which the
 stdlib would coerce or reject.
 
 The stdlib uses its C encoder only when ``indent`` is None; with an
@@ -28,6 +36,15 @@ def dumps(doc) -> str:
     out: list[str] = []
     _write(doc, "\n", out)
     return "".join(out)
+
+
+class Encodings(dict):
+    """A memo from each ``str`` looked up to its encoding, for a writer
+    that meets the same texts many times."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = encoded = _encode_str(text)
+        return encoded
 
 
 def _write(o, newline: str, out: list[str]) -> None:
@@ -76,4 +93,7 @@ def _write(o, newline: str, out: list[str]) -> None:
             sep = after
         out.append(newline + "}")
     else:
-        raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+        write = getattr(o, "_write_json", None)
+        if write is None:
+            raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+        write(newline, out)

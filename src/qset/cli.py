@@ -168,7 +168,10 @@ def _check_totals(session: Session) -> tuple[int, int]:
 
 
 def _json_value(value):
-    if isinstance(value, (Fragment, ClosureReport, LawReport)):
+    # fragments and closure reports write themselves into the document (see qset._json)
+    if isinstance(value, (Fragment, ClosureReport)):
+        return value
+    if isinstance(value, LawReport):
         return value.to_dict()
     return render(value)
 
@@ -262,7 +265,7 @@ def _run_audit(args) -> int:
         _emit_json({
             "schema": "qset/1",
             "mode": "audit",
-            "reports": [r.to_dict() for r in reports],
+            "reports": reports,
             "checks": {"passed": passed, "failed": failed},
         })
     else:

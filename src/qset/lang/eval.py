@@ -501,9 +501,7 @@ def render(value) -> str:
     if isinstance(value, QuasiFunction):
         graph_q = QSet((PrimPair(a, b), 1) for a, b in value.sorted_graph())
         return "qfun(%s, %s, %s)" % (value.dom.text, value.cod.text, graph_q.text)
-    if isinstance(value, Fragment):
-        return value.to_json()
-    if isinstance(value, (ClosureReport, LawReport)):
+    if isinstance(value, (Fragment, ClosureReport, LawReport)):
         return value.to_json()
     if isinstance(value, Classification):
         return value.value

@@ -510,11 +510,15 @@ class Fragment:
                 members.add(entry.result)
         return members
 
-    def to_dict(self) -> dict:
+    def _elements_and_rank(self) -> tuple[list, dict]:
         elements, rank = [], {}
         for d, n in self.elements.classes():
             elements.append([d.text, n])
             rank[d.text] = d.depth
+        return elements, rank
+
+    def to_dict(self) -> dict:
+        elements, rank = self._elements_and_rank()
         return {
             "schema": "qset/2",
             "elements": elements,
@@ -524,7 +528,45 @@ class Fragment:
         }
 
     def to_json(self) -> str:
-        return _json.dumps(self.to_dict())
+        return _json.dumps(self)
+
+    def _write_json(self, newline: str, out: list[str]) -> None:
+        # to_dict()'s bytes at this indent with no ledger dicts built: each entry is one of
+        # LedgerEntry.to_dict's three shapes, and its args and result are members, so each of
+        # their texts is encoded once per fragment
+        keys, entries = newline + "  ", newline + "    "
+        field, arg = entries + "  ", entries + "    "
+        next_field, next_arg = "," + field, "," + arg
+        elements, rank = self._elements_and_rank()
+        out.append("{" + keys + '"schema": "qset/2",' + keys + '"elements": ')
+        _json._write(elements, keys, out)
+        out.append("," + keys + '"rank": ')
+        _json._write(rank, keys, out)
+        out.append("," + keys + '"depth": %d,' % self.depth + keys + '"ledger": ')
+        enc = _json.Encodings()
+        objs = []
+        for e in self.ledger:
+            if e.op == "round":
+                objs.append(f'{{{field}"op": "round",{field}"round": {e.count:d}{entries}}}')
+            elif e.cutoff == MEMBER_CAP:
+                objs.append(f'{{{field}"op": {enc[e.op]},{field}"cutoff": "member-cap",'
+                            f'{field}"count": {e.count:d}{entries}}}')
+            else:
+                parts = ['"op": ' + enc[e.op]]
+                if e.args:
+                    parts.append(f'"args": [{arg}{next_arg.join([enc[x.text] for x in e.args])}{field}]')
+                if e.result is not None:
+                    parts.append('"result": ' + enc[e.result.text])
+                if e.op == "seed":
+                    parts.append('"count": %d' % e.count)
+                if e.cutoff is not None:
+                    parts.append('"cutoff": ' + enc[e.cutoff])
+                objs.append(f"{{{field}{next_field.join(parts)}{entries}}}")
+        if objs:
+            out.extend(("[" + entries, ("," + entries).join(objs), keys + "]"))
+        else:
+            out.append("[]")
+        out.append(newline + "}")
 
 
 def _seed_members(seeds) -> QSet:
@@ -725,7 +767,39 @@ class ClosureReport:
         }
 
     def to_json(self) -> str:
-        return _json.dumps(self.to_dict())
+        return _json.dumps(self)
+
+    def _write_json(self, newline: str, out: list[str]) -> None:
+        # to_dict()'s bytes at this indent with no defect dicts built: each defect is one string in
+        # Defect.to_dict's shape, and witnesses are members, so each witness text is encoded once
+        # per report
+        keys, sections = newline + "  ", newline + "    "
+        items = sections + "  "
+        field, witness = items + "  ", items + "    "
+        next_item, next_witness, note_key = "," + items, "," + witness, "," + field + '"note": '
+        enc, encode = _json.Encodings(), _json._encode_str
+        out.append("{" + keys + '"schema": "qset/1",' + keys + '"elements": ')
+        _json._write([[d.text, n] for d, n in self.elements.classes()], keys, out)
+        out.append("," + keys + '"defects": {')
+        sep = sections
+        for s in SECTIONS:
+            objs = []
+            for condition, operation, witnesses, missing, note in getattr(self, s):
+                listed = "[]"
+                if witnesses:
+                    listed = f"[{witness}{next_witness.join([enc[x.text] for x in witnesses])}{field}]"
+                missing = "null" if missing is None else encode(missing)
+                note = note_key + enc[note] if note else ""
+                objs.append(f'{{{field}"condition": {enc[condition]},{field}"operation": {enc[operation]},'
+                            f'{field}"witnesses": {listed},{field}"missing": {missing}{note}{items}}}')
+            if objs:
+                out.extend((sep + enc[s] + ": [" + items, next_item.join(objs), sections + "]"))
+            else:
+                out.append(sep + enc[s] + ": []")
+            sep = "," + sections
+        out.append(keys + "}," + keys + '"totals": ')
+        _json._write(self.totals, keys, out)
+        out.append(newline + "}")
 
 
 def _as_universe(u: Union[QSet, Fragment]) -> QSet:
