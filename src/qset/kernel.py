@@ -34,7 +34,7 @@ builds already consist of canonical descriptors with counts of at least
 Both ways end in the same sealing step, ``QSet._seal``, which orders
 the classes and computes the text, key, qcard, depth, classical flag
 and hash.  The text comes from ``_render``, the one rendering rule,
-which the closure audit also uses to write a result's text without
+which the closure audit follows to write a result's text without
 building the result.
 
 M-atom labels exist only inside "labeled builds": plain Python lists

@@ -13,12 +13,12 @@ writes it, reproduces the fragment's exact element multiset.
 
 ``check_qED`` audits how far a fragment is from being closed: for each
 closure condition it records the member combinations whose required
-result is missing, from one sweep per section in report order.  A
-result is decided and reported by its canonical text alone, so the
-audit builds no result value but a power.  A
-finite fragment is always defective somewhere (the power of a deepest
-element cannot be inside), which is the point: the audit measures the
-shape of the failure, it does not pretend closure.
+result is missing, from one loop per section over member positions in
+report order.  A result is decided and reported by its canonical text
+alone, written from those positions, so the audit builds no value,
+powers included.  A finite fragment is always defective somewhere (the
+power of a deepest element cannot be inside), which is the point: the
+audit measures the shape of the failure, it does not pretend closure.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .kernel import (
     ElementDesc,
     PrimPair,
     QSet,
-    _class_key,
-    _render,
     canonicalize,
 )
 from .morphism import CategoryPresentation
@@ -80,16 +78,13 @@ class Constructor:
     constructor also reads the universe, through the ``Parts`` that
     ``apply`` takes.  ``cap`` returns the cutoff reason when the caps
     refuse the operands, else None; it reads only the operands' qcards.
-    ``apply`` is the one definition of the constructor, and ``text``,
-    which the audit uses, returns exactly ``apply(args, parts,
-    caps).text`` for any operands the cap does not refuse; it builds no
-    value, except for power, whose text is its value's.
+    ``apply`` is the one definition of the constructor; the audit writes
+    the text of its result from the members' positions, without it.
     ``hits(pool, universe, index)`` maps every operand tuple of the
     row's sweep over ``pool`` whose result is a member of a
     ``MemberIndex`` to that member, and builds no value on the way.
     ``FAMILY_UNION``, the audit's cond4 row, takes a family: index
-    members, then one entry each, drawn by ``_section_sweep``; its
-    union reads only the entries.
+    members, then one entry each; its union reads only the entries.
     """
 
     name: str
@@ -100,7 +95,6 @@ class Constructor:
     relative: bool
     cap: Callable[[tuple, BuildCaps], str | None]
     apply: Callable[[tuple, "Parts | None", BuildCaps], QSet]
-    text: Callable[[tuple, "Parts", BuildCaps], str]
     hits: Callable[[list, QSet, "MemberIndex"], dict[tuple, QSet]]
 
     def pool(self, members: list) -> list:
@@ -127,26 +121,19 @@ class Parts:
     classes.  A caller that applies many constructors to one fixed
     universe (a build or replay round, a script's call) keeps one
     ``Parts`` and builds each part once; the parts go when it does.
-    The audit keeps one too, but asks it only for texts: the singleton
-    and pair texts, each member's classes sorted as a product's operand,
-    and the union text per set of entries, each made once.  Every part
+    ``Parts`` holds values only; the audit builds none.  Every part
     depends only on its key and the universe, a primitive pair only on
     its two components, and values are immutable, so a shared part is
-    exactly the value, or text, a fresh call would give.
+    exactly the value a fresh call would give.
     """
 
-    __slots__ = ("universe", "_singletons", "_pairs", "_prim_pairs",
-                 "_singleton_texts", "_pair_texts", "_operand_classes", "_union_texts")
+    __slots__ = ("universe", "_singletons", "_pairs", "_prim_pairs")
 
     def __init__(self, universe: QSet):
         self.universe = universe
         self._singletons: dict = {}
         self._pairs: dict[frozenset, QSet] = {}
         self._prim_pairs: dict[tuple, PrimPair] = {}
-        self._singleton_texts: dict = {}
-        self._pair_texts: dict[tuple, str] = {}
-        self._operand_classes: dict[QSet, tuple[list, list]] = {}
-        self._union_texts: dict[frozenset, str] = {}
 
     def singleton(self, x) -> QSet:
         # exact: singleton_in(x, u) reads only x and u's count of it
@@ -173,71 +160,6 @@ class Parts:
         if p is None:
             p = self._prim_pairs[a, b] = PrimPair(a, b)
         return p
-
-    def singleton_text(self, x) -> str:
-        # exact: singleton_in(x, u) is the one class (x, u.count(x))
-        t = self._singleton_texts.get(x)
-        if t is None:
-            t = self._singleton_texts[x] = _render(((x, self.universe.count(x)),))
-        return t
-
-    def pair_text(self, x, y) -> str:
-        # exact: pair_in(x, y, u) is the classes (x, u.count(x)) and (y, u.count(y)) in key order, so
-        # the same for (y, x), and the singleton when x == y
-        t = self._pair_texts.get((x, y))
-        if t is None:
-            if x == y:
-                t = self.singleton_text(x)
-            else:
-                lo, hi = (x, y) if x.key < y.key else (y, x)
-                count = self.universe.count
-                t = _render(((lo, count(lo)), (hi, count(hi))))
-            self._pair_texts[x, y] = self._pair_texts[y, x] = t
-        return t
-
-    def opair_text(self, x, y) -> str:
-        # exact: opair_from(s, p) is {s, p} once each, two quasi-sets and so in text order, and {s}
-        # when x == y makes p the singleton s
-        s, p = self.singleton_text(x), self.pair_text(x, y)
-        if s == p:
-            return "{%s}" % s
-        return "{%s, %s}" % ((s, p) if s < p else (p, s))
-
-    def product_text(self, x: QSet, y: QSet) -> str:
-        # exact: product(x, y) counts each pair <a, b> x.count(a) * y.count(b), and a pair's text is
-        # "<" + a.text + ", " + b.text + ">".  A text that is a proper prefix of another is an
-        # identifier, followed there by an identifier character, and "," sorts below all of them;
-        # so x's classes by text, then y's by text + ">", give the pairs in canonical order; a count
-        # above 1 is written ^n, as _render writes it
-        xs = self._operand_classes.get(x) or self._operands(x)
-        ys = self._operand_classes.get(y) or self._operands(y)
-        return "{%s}" % ", ".join([
-            "<%s, %s" % (a, b) if na * nb == 1 else "<%s, %s^%d" % (a, b, na * nb)
-            for a, na in xs[0] for b, nb in ys[1]
-        ])
-
-    def _operands(self, x: QSet) -> tuple[list, list]:
-        # x's classes as a product's first operand, (text, count) by text, and as its second,
-        # (text + ">", count) by that
-        classes = self._operand_classes[x] = (
-            sorted([(d.text, n) for d, n in x.classes()]),
-            sorted([(d.text + ">", n) for d, n in x.classes()]),
-        )
-        return classes
-
-    def union_text(self, entries: Sequence[QSet]) -> str:
-        """The text of the union of these entries."""
-        # exact: union is associative, commutative and idempotent, so only the set of entries matters
-        key = frozenset(entries)
-        t = self._union_texts.get(key)
-        if t is None:
-            t = self._union_texts[key] = _union_text(key)
-        return t
-
-
-def _union_text(entries: Iterable[QSet]) -> str:
-    # exact: family_union seals the entries' largest counts, and a seal renders its classes in key order
-    return _render(sorted(algebra._largest_counts(entries).items(), key=_class_key))
 
 
 class MemberIndex:
@@ -397,35 +319,28 @@ CONSTRUCTORS = (
     Constructor("power", "cond1", 1, True, False, False,
                 lambda a, caps: "power-cap" if a[0].qcard > caps.power_qcard else None,
                 lambda a, parts, caps: algebra.power(*a, cap=caps.power_qcard),
-                lambda a, parts, caps: algebra.power(*a, cap=caps.power_qcard).text,
                 _hits_power),
     Constructor("singleton", "cond2", 1, False, False, True, _uncapped,
                 lambda a, parts, caps: parts.singleton(*a),
-                lambda a, parts, caps: parts.singleton_text(*a),
                 _hits_singleton),
     Constructor("union", "theorem1", 2, True, True, False, _uncapped,
                 lambda a, parts, caps: algebra.union(*a),
-                lambda a, parts, caps: parts.union_text(a),
                 _hits_union),
     Constructor("product", "cond3", 2, True, False, False,
                 lambda a, caps: "product-cap" if a[0].qcard * a[1].qcard > caps.product_qcard else None,
                 lambda a, parts, caps: algebra.product(
                     *a, cap=caps.product_qcard, pair=PrimPair if parts is None else parts.prim_pair),
-                lambda a, parts, caps: parts.product_text(*a),
                 _hits_product),
     Constructor("pair", "theorem1", 2, False, True, True, _uncapped,
                 lambda a, parts, caps: parts.pair(*a),
-                lambda a, parts, caps: parts.pair_text(*a),
                 _hits_pair),
     Constructor("opair", "theorem1", 2, False, False, True, _uncapped,
                 lambda a, parts, caps: parts.opair(*a),
-                lambda a, parts, caps: parts.opair_text(*a),
                 _hits_opair),
 )
 
 FAMILY_UNION = Constructor("family_union", "cond4", 0, False, False, False, _uncapped,
-                           lambda a, parts, caps: algebra.family_union(a[len(a) // 2:]),
-                           lambda a, parts, caps: parts.union_text(a[len(a) // 2:]), None)
+                           lambda a, parts, caps: algebra.family_union(a[len(a) // 2:]), None)
 
 # Audit sections in report order; each holds the rows whose ``section`` it is.
 SECTIONS = ("cond1", "cond2", "cond3", "cond4", "theorem1")
@@ -569,12 +484,6 @@ class Fragment:
         out.append(newline + "}")
 
 
-def _seed_members(seeds) -> QSet:
-    if isinstance(seeds, QSet):
-        return seeds
-    return canonicalize(list(seeds))
-
-
 def build_fragment(
     seeds: Union[QSet, Sequence[Union[QSet, AtomRef]]],
     depth: int = 1,
@@ -597,7 +506,7 @@ def build_fragment(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    base = _seed_members(seeds)
+    base = seeds if isinstance(seeds, QSet) else canonicalize(list(seeds))
     if base.qcard == 0:
         raise EmptyUniverse("a universe fragment needs at least one seed element")
     if base.distinct_classes() > caps.max_members:
@@ -806,6 +715,93 @@ def _as_universe(u: Union[QSet, Fragment]) -> QSet:
     return u.elements if isinstance(u, Fragment) else u
 
 
+class _TextTable:
+    """The canonical texts of an audit's results, keyed by their operands' positions in ``ordered``,
+    the members in key order.  Each rule's ``exact:`` comment says why it writes ``apply(args, parts,
+    caps).text``, building no value; a member's sorted product classes and a union text are made once."""
+
+    __slots__ = ("ordered", "pieces", "members", "_operands", "_unions", "_ranked", "_class_texts")
+
+    def __init__(self, universe: QSet):
+        self.ordered = ordered = [d for d, _ in universe.classes()]
+        # exact: _render writes a class (d, n) as d's text, ^n for n above 1
+        self.pieces = [d.text if n == 1 else "%s^%d" % (d.text, n) for d, n in universe.classes()]
+        self.members = {d.text for d in ordered}
+        self._operands: dict[int, tuple[list, list]] = {}
+        self._unions: dict[frozenset, str] = {}
+        # each collection's classes as (rank of the descriptor in key order, count); a text names a value
+        keys = sorted({d.key for x in ordered if isinstance(x, QSet) for d, _ in x.classes()})
+        rank = {text: r for r, (_, text) in enumerate(keys)}
+        self._class_texts = [text for _, text in keys]
+        self._ranked = [[(rank[d.text], n) for d, n in x.classes()] if isinstance(x, QSet) else None
+                        for x in ordered]
+
+    def power(self, i: int) -> str:
+        # exact: power(x) holds one sub-quasi-set per pick of k <= n from each class (d, n) of x, counted
+        # prod C(n, k); a pick keeps x's classes in key order, and its picks are quasi-sets, so in text order
+        subsets = [("", 1)]
+        for d, n in self.ordered[i].classes():
+            picks = [(d.text if k == 1 else "%s^%d" % (d.text, k), math.comb(n, k)) for k in range(1, n + 1)]
+            subsets += [(s + ", " + t if s else t, m * c) for s, m in subsets for t, c in picks]
+        subsets = sorted([("{%s}" % s, m) for s, m in subsets])
+        return "{%s}" % ", ".join([s if m == 1 else "%s^%d" % (s, m) for s, m in subsets])
+
+    def singleton(self, i: int) -> str:
+        # exact: singleton_in(x, u) is the one class (x, u.count(x))
+        return "{%s}" % self.pieces[i]
+
+    def pair(self, i: int, j: int) -> str:
+        # exact: pair_in(x, y, u) is the classes of x and y in u in key order, which is position order,
+        # and the singleton when x == y
+        if i == j:
+            return "{%s}" % self.pieces[i]
+        return "{%s, %s}" % ((self.pieces[i], self.pieces[j]) if i < j else (self.pieces[j], self.pieces[i]))
+
+    def opair(self, i: int, j: int) -> str:
+        # exact: opair_from(s, p) is {s, p} once each, two quasi-sets and so in text order, and {s}
+        # when x == y makes p the singleton s
+        s, p = "{%s}" % self.pieces[i], self.pair(i, j)
+        return "{%s}" % s if i == j else "{%s, %s}" % ((s, p) if s < p else (p, s))
+
+    def product(self, i: int, j: int) -> str:
+        # exact: product(x, y) counts each pair <a, b> x.count(a) * y.count(b), and a pair's text is
+        # "<" + a.text + ", " + b.text + ">".  A text that is a proper prefix of another is an
+        # identifier, followed there by an identifier character, and "," sorts below all of them;
+        # so x's classes by text, then y's by text + ">", give the pairs in canonical order; a count
+        # above 1 is written ^n, as _render writes it
+        xs = self._operands.get(i) or self._operand(i)
+        ys = self._operands.get(j) or self._operand(j)
+        return "{%s}" % ", ".join([
+            "<%s, %s" % (a, b) if na * nb == 1 else "<%s, %s^%d" % (a, b, na * nb)
+            for a, na in xs[0] for b, nb in ys[1]
+        ])
+
+    def _operand(self, i: int) -> tuple[list, list]:
+        # the member's classes as a product's first operand, by text, and as its second, by text + ">"
+        texts = [(d.text, n) for d, n in self.ordered[i].classes()]
+        operand = self._operands[i] = (sorted(texts), sorted([(t + ">", n) for t, n in texts]))
+        return operand
+
+    def union(self, entries: frozenset) -> str:
+        # exact: union is associative, commutative and idempotent, so only the set of entries matters
+        t = self._unions.get(entries)
+        if t is None:
+            t = self._unions[entries] = self._union(entries)
+        return t
+
+    def _union(self, entries: frozenset) -> str:
+        # exact: family_union seals each class at its largest count, and a seal renders its classes in
+        # key order, which is the ranks' order
+        counts: dict[int, int] = {}
+        for i in entries:
+            for r, n in self._ranked[i]:
+                if counts.get(r, 0) < n:
+                    counts[r] = n
+        texts = self._class_texts
+        return "{%s}" % ", ".join([texts[r] if counts[r] == 1 else "%s^%d" % (texts[r], counts[r])
+                                   for r in sorted(counts)])
+
+
 def check_qED(
     u: Union[QSet, Fragment],
     *,
@@ -824,64 +820,68 @@ def check_qED(
     derived constructions (union, unordered pair, ordered pair) are
     audited separately as the theorem-1 section.
 
-    Each section is one ``_section_sweep`` in report order, and each
-    check is a build's step with texts for values, cap then the row's
-    ``text``: a cap refusal is a defect with the cap as its note, and a
-    result whose text is no member's is a defect that names it by that
-    text.  A value is its canonical text, and texts differ across kinds,
-    atoms, quasi-sets and pairs, so the test on texts is membership
-    exactly.  No result value is built but a power.  The checks share
-    one ``Parts``, so each singleton and pair text, each member's sorted
-    product classes and each union text (per set of entries) is made
-    once; the universe is fixed, so a shared part is what a fresh call
-    gives.
+    Each section is one loop over member positions, in report order.  A
+    cap refusal is a defect with the cap as its note, and a result whose
+    canonical text is no member's is a defect that names it by that text;
+    texts differ across kinds, atoms, quasi-sets and pairs, so that test
+    is membership exactly.  Every text comes from one ``_TextTable``, so
+    the audit builds no value, powers included.  A union of one member x
+    (``union(x, x)``, or a family whose entries are all x) is x, a
+    member, so it counts as a check and needs no text.
     """
     universe = _as_universe(u)
     if universe.qcard == 0:
         raise EmptyUniverse("cannot audit an empty universe")
-    parts = Parts(universe)
-    ordered = [d for d, _ in universe.classes()]
-    member_texts = {d.text for d in ordered}
-    defects: dict[str, list[Defect]] = {}
-    totals = {"members": len(ordered)}
-    for section in SECTIONS:
-        sweep = _section_sweep(section, ordered, family_index_bound)
-        found = defects[section] = []
-        checked = 0
-        for row, args in itertools.islice(sweep, max_families) if section == "cond4" else sweep:
-            checked += 1
-            cutoff = row.cap(args, caps)
-            if cutoff is not None:
-                found.append(Defect(section, row.name, args, None, cutoff))
-                continue
-            text = row.text(args, parts, caps)
-            if text not in member_texts:
-                found.append(Defect(section, row.name, args, text))
-        totals[section + "_checked"] = checked
-        if section == "cond4":
-            totals["cond4_truncated"] = next(sweep, None) is not None
-    return ClosureReport(elements=universe, totals=totals, **defects)
+    table = _TextTable(universe)
+    ordered, members = table.ordered, table.members
+    at = [i for i, d in enumerate(ordered) if isinstance(d, QSet)]  # the collections' positions
+    pool = [ordered[i] for i in at]
+    rows = {row.name: row for row in CONSTRUCTORS}
+    cond1, cond2, cond3, cond4, theorem1 = [], [], [], [], []
+    refused = dict(_refusals(rows["power"], pool, caps))
+    for a, x in enumerate(pool):
+        if (a,) in refused:
+            cond1.append(Defect("cond1", "power", (x,), None, refused[a,]))
+        elif (text := table.power(at[a])) not in members:
+            cond1.append(Defect("cond1", "power", (x,), text))
+    for i, x in enumerate(ordered):
+        if (text := table.singleton(i)) not in members:
+            cond2.append(Defect("cond2", "singleton", (x,), text))
+    refused = dict(_refusals(rows["product"], pool, caps))
+    for a, x in enumerate(pool):
+        for b, y in enumerate(pool):
+            if (a, b) in refused:
+                cond3.append(Defect("cond3", "product", (x, y), None, refused[a, b]))
+            elif (text := table.product(at[a], at[b])) not in members:
+                cond3.append(Defect("cond3", "product", (x, y), text))
+    families = _families(ordered, at, family_index_bound)
+    checked = 0
+    for checked, (index, entries) in enumerate(itertools.islice(families, max_families), 1):
+        if len(key := frozenset(entries)) > 1 and (text := table.union(key)) not in members:
+            cond4.append(Defect("cond4", "family_union", tuple([ordered[i] for i in index + entries]), text))
+    collection, union = [isinstance(d, QSet) for d in ordered], table.union
+    for i, x in enumerate(ordered):
+        for j, y in enumerate(ordered):
+            if i < j and collection[i] and collection[j] and (text := union(frozenset((i, j)))) not in members:
+                theorem1.append(Defect("theorem1", "union", (x, y), text))
+            if i <= j and (text := table.pair(i, j)) not in members:
+                theorem1.append(Defect("theorem1", "pair", (x, y), text))
+            if (text := table.opair(i, j)) not in members:
+                theorem1.append(Defect("theorem1", "opair", (x, y), text))
+    n, q = len(ordered), len(pool)
+    totals = {"members": n, "cond1_checked": q, "cond2_checked": n, "cond3_checked": q * q,
+              "cond4_checked": checked, "cond4_truncated": next(families, None) is not None,
+              "theorem1_checked": q * (q + 1) // 2 + n * (n + 1) // 2 + n * n}
+    return ClosureReport(universe, cond1, cond2, cond3, cond4, theorem1, totals)
 
 
-def _section_sweep(section: str, ordered: list, family_index_bound: int):
-    """Every check of one audit section as ``(row, args)``, in report order: by operand positions
-    in ``ordered``, then table order (the rows' ``operands``, merged); cond4 by index size, index, entries."""
-    if section == "cond4":
-        classical = [d for d in ordered if d.is_classical]
-        qsets = [d for d in ordered if isinstance(d, QSet)]
-        for size in range(1, family_index_bound + 1):
-            for index in itertools.combinations(classical, size):
-                for entries in itertools.product(qsets, repeat=size):
-                    yield FAMILY_UNION, index + entries
-        return
-    rows = [row for row in CONSTRUCTORS if row.section == section]
-    qset_at = {i for i, d in enumerate(ordered) if isinstance(d, QSet)}
-    # arity is at most 2, so an unordered tuple takes y never before x
-    for at in itertools.product(range(len(ordered)), repeat=rows[0].arity):
-        args = tuple([ordered[i] for i in at])
-        for row in rows:
-            if (not row.collections or qset_at.issuperset(at)) and (not row.unordered or at[0] <= at[-1]):
-                yield row, args
+def _families(ordered: list, at: list, family_index_bound: int):
+    """Every cond4 family as (index, entries) positions in report order: by index size, index, entries."""
+    classical = [i for i, d in enumerate(ordered) if d.is_classical]
+    for size in range(1, family_index_bound + 1):
+        for index in itertools.combinations(classical, size):
+            for entries in itertools.product(at, repeat=size):
+                yield index, entries
 
 
 # -- classification --------------------------------------------------

@@ -902,6 +902,17 @@ def test_replay_reads_no_hit_map(monkeypatch):
 # -- closure audit -------------------------------------------------------
 
 
+# kind and atom names that are prefixes of each other, so texts are too: m_K of m_K1, A of A1
+PREFIX_KINDS = [Kind(name) for name in ("K", "K1", "K_", "KA")]
+PREFIX_ATOMS = [CAtom(name) for name in ("A", "A1", "Az", "A_")]
+PREFIX_NAMED = QSet([
+    (PREFIX_KINDS[0], 2), PREFIX_ATOMS[0], PREFIX_ATOMS[1], QSet(), PrimPair(PREFIX_KINDS[0], PREFIX_ATOMS[0]),
+    qs((PREFIX_KINDS[1], 3), PREFIX_ATOMS[0]),
+    qs(PrimPair(PREFIX_ATOMS[0], PREFIX_ATOMS[2]), (PrimPair(PREFIX_ATOMS[1], PREFIX_KINDS[0]), 2)),
+    qs((PREFIX_KINDS[0], 1)), qs((PREFIX_KINDS[0], 2), PREFIX_ATOMS[3]),
+])
+
+
 # sha256 of fixed audit reports: sharing parts within an audit must leave
 # every byte of the report as building each part per check did.  Every
 # report has collapsed opairs <x, x>.  No report is free of theorem-1
@@ -925,6 +936,14 @@ REPORT_PINS = [
     # one member: the only theorem-1 defects are its pair and collapsed opair
     ([A1], 0, BuildCaps(),
      "4b1c7ca007e78213a9d9a82d210be7de03786f6dfc65204a5351d968ab01c376"),
+    # names that are prefixes of each other, under caps that refuse nothing here (so the defaults'
+    # digest), caps that refuse a power and products, and the defaults
+    (PREFIX_NAMED, 0, BuildCaps(power_qcard=4, product_qcard=40),
+     "07b3b15709a59e25510d49e588dd15677e1572da61e8f16e00305971c75a6052"),
+    (PREFIX_NAMED, 0, BuildCaps(power_qcard=3, product_qcard=8),
+     "e81d337d6607833ccf77d6f0d8e8bb16e32ad8cc37cba302ab85a3c3c7791b2f"),
+    (PREFIX_NAMED, 0, BuildCaps(),
+     "07b3b15709a59e25510d49e588dd15677e1572da61e8f16e00305971c75a6052"),
 ]
 
 
@@ -935,35 +954,18 @@ def test_audit_reports_are_pinned(seeds, depth, caps, digest):
     assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == digest
 
 
-def test_audit_builds_no_result_but_powers(monkeypatch):
-    # every check but a power is decided from texts: no other constructor,
-    # primitive pair, Parts value or sealed quasi-set comes out of the
-    # audit, and each union text (per set of entries) and each member's
-    # sorted product classes are made once
-    calls = []
-    in_power = [0]
-    unions = []
-    operands = []
+def test_audit_builds_no_result(monkeypatch):
+    # every check is decided from texts: no constructor, primitive pair,
+    # Parts value or sealed quasi-set comes out of the audit, powers
+    # included, and each union text (per set of entry positions, shared by
+    # cond4 and theorem 1) and each member's sorted product classes are made once
+    calls, unions, operands = [], [], []
 
     def refused(name, fn):
         def wrapped(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
         return wrapped
-
-    def inside_power(fn):
-        def wrapped(*args, **kwargs):
-            in_power[0] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                in_power[0] -= 1
-        return wrapped
-
-    def sealing(self, counts):
-        if not in_power[0]:
-            calls.append("QSet._seal")
-        return seal(self, counts)
 
     def recording(log, fn):
         def wrapped(*args):
@@ -972,56 +974,77 @@ def test_audit_builds_no_result_but_powers(monkeypatch):
         return wrapped
 
     frag = build_fragment([qs((K, 1)), qs((J, 2)), A1, A2], 1)
-    seal = QSet._seal
-    for name in ("singleton_in", "pair_in", "opair_in", "opair_from", "union", "product", "family_union"):
+    table = universe_module._TextTable
+    for name in ("power", "singleton_in", "pair_in", "opair_in", "opair_from", "union", "product", "family_union"):
         monkeypatch.setattr(algebra, name, refused(name, getattr(algebra, name)))
-    monkeypatch.setattr(algebra, "power", refused("power", inside_power(algebra.power)))
     monkeypatch.setattr(PrimPair, "__init__", refused("PrimPair", PrimPair.__init__))
     for name in ("singleton", "pair", "opair", "prim_pair"):
         method = getattr(universe_module.Parts, name)
         monkeypatch.setattr(universe_module.Parts, name, refused("Parts." + name, method))
-    monkeypatch.setattr(QSet, "_seal", sealing)
-    monkeypatch.setattr(universe_module, "_union_text", recording(unions, universe_module._union_text))
-    monkeypatch.setattr(universe_module.Parts, "_operands", recording(operands, universe_module.Parts._operands))
-    report = check_qED(frag, caps=frag.caps)
+    monkeypatch.setattr(QSet, "_seal", refused("QSet._seal", QSet._seal))
+    monkeypatch.setattr(table, "_union", recording(unions, table._union))
+    monkeypatch.setattr(table, "_operand", recording(operands, table._operand))
+    report = check_qED(frag, caps=frag.caps, max_families=1000)
     monkeypatch.undo()
-    assert report.theorem1 and report.cond3 and report.totals["cond4_checked"] > 0
-    assert set(calls) == {"power"}
+    assert calls == []
+    assert report.cond1 and report.theorem1 and report.cond3 and report.totals["cond4_checked"] > 0
     assert unions and len(unions) == len(set(unions))
+    # a two-entry family's union is a theorem-1 union too, and the memo makes it once for both
+    ordered = [d for d, _ in frag.elements.classes()]
+    at = [i for i, d in enumerate(ordered) if isinstance(d, QSet)]
+    families = itertools.islice(universe_module._families(ordered, at, 3), 1000)
+    shared = {frozenset(entries) for _, entries in families if len(set(entries)) == 2}
+    assert shared and shared <= set(unions)
     # products share member classes as operands, and each member's sorted classes are made once
-    qsets = [d for d, _ in frag.elements.classes() if isinstance(d, QSet)]
+    qsets = [ordered[i] for i in at]
     assert report.totals["cond3_checked"] == len(qsets) ** 2 > len(qsets)
     assert 0 < len(operands) == len(set(operands)) <= len(qsets)
 
 
 def _prefix_named_universes():
-    # kind and atom names that are prefixes of each other, so texts are too: m_K of m_K1, A of A1
-    kinds = [Kind(name) for name in ("K", "K1", "K_", "KA")]
-    atoms = [CAtom(name) for name in ("A", "A1", "Az", "A_")]
-    K0, A0 = kinds[0], atoms[0]
-    yield QSet([(K0, 2), A0, atoms[1], QSet(), PrimPair(K0, A0), qs((kinds[1], 3), A0),
-                qs(PrimPair(A0, atoms[2]), (PrimPair(atoms[1], K0), 2)), qs((K0, 1)), qs((K0, 2), atoms[3])])
-    gen = StructureGen(25, kinds=kinds, catoms=atoms)
+    yield PREFIX_NAMED
+    gen = StructureGen(25, kinds=PREFIX_KINDS, catoms=PREFIX_ATOMS)
     for _ in range(100):
         caps = BuildCaps(max_members=gen.rng.randint(4, 12), power_qcard=gen.rng.randint(1, 6),
                          product_qcard=gen.rng.randint(1, 60))
         yield gen.fragment(max_seeds=4, max_depth=2, caps=caps).elements
 
 
-def test_text_column_is_the_text_of_apply():
-    # for every row, and the audit's families, the text of a result is read without building it
+# each rule of the audit's text table, on member positions
+TEXT_RULES = {
+    "power": lambda table, at: table.power(*at),
+    "singleton": lambda table, at: table.singleton(*at),
+    "product": lambda table, at: table.product(*at),
+    "family_union": lambda table, at: table.union(frozenset(at[len(at) // 2:])),
+    "union": lambda table, at: table.union(frozenset(at)),
+    "pair": lambda table, at: table.pair(*at),
+    "opair": lambda table, at: table.opair(*at),
+}
+
+
+def test_text_table_is_the_text_of_apply():
+    # for every check of all five sections, union(x, x) included, the
+    # audit's text table writes the text of the value apply builds
     caps = BuildCaps(power_qcard=4, product_qcard=40)
+    rows = {row.name: row for row in universe_module.CONSTRUCTORS + (universe_module.FAMILY_UNION,)}
     seen = set()
     for universe in _prefix_named_universes():
-        ordered = [d for d, _ in universe.classes()]
-        parts, reference = universe_module.Parts(universe), universe_module.Parts(universe)
-        checks = [(row, args) for row in universe_module.CONSTRUCTORS for args in row.operands(ordered)]
-        checks += itertools.islice(universe_module._section_sweep("cond4", ordered, 3), 200)
-        for row, args in checks:
+        table, parts = universe_module._TextTable(universe), universe_module.Parts(universe)
+        ordered = table.ordered
+        members = range(len(ordered))
+        at = [i for i in members if isinstance(ordered[i], QSet)]
+        checks = [("power", (i,)) for i in at] + [("singleton", (i,)) for i in members]
+        checks += [("product", (i, j)) for i in at for j in at]
+        checks += [("family_union", index + entries)
+                   for index, entries in itertools.islice(universe_module._families(ordered, at, 3), 200)]
+        checks += [("union", (i, j)) for i in at for j in at if i <= j]
+        checks += [(name, (i, j)) for i in members for j in members for name in ("pair", "opair") if i <= j or name == "opair"]
+        for name, positions in checks:
+            row, args = rows[name], tuple(ordered[i] for i in positions)
             if row.cap(args, caps) is not None:
                 continue
-            assert row.text(args, parts, caps) == row.apply(args, reference, caps).text, (row.name, args)
-            if row.arity == 2 and args[0] == args[1]:
+            assert TEXT_RULES[name](table, positions) == row.apply(args, parts, caps).text, (name, args)
+            if len(args) == 2 and args[0] == args[1]:
                 seen.add("x == y")
             if any(isinstance(a, PrimPair) for a in args):
                 seen.add("pair member")
@@ -1031,14 +1054,16 @@ def test_text_column_is_the_text_of_apply():
                 seen.add("empty operand")
             if any(universe.count(a) > 1 or isinstance(a, QSet) and a.qcard > a.distinct_classes() for a in args):
                 seen.add("count above 1")
-            if row.name == "product":
+                if name == "power":
+                    seen.add("power of a member with a count above 1")
+            if name == "product":
                 pairs = [(a.text, b.text) for a, _ in args[0].classes() for b, _ in args[1].classes()]
                 if sorted(pairs) != sorted(pairs, key="<%s, %s>".__mod__):
                     seen.add("prefix order")
-            if row is universe_module.FAMILY_UNION and len(args) > 4:
+            if name == "family_union" and len(args) > 4:
                 seen.add("three entries")
     assert seen == {"x == y", "pair member", "kind with atom", "empty operand", "count above 1",
-                    "prefix order", "three entries"}
+                    "power of a member with a count above 1", "prefix order", "three entries"}
 
 
 def test_audit_rejects_empty_universe():
@@ -1180,6 +1205,9 @@ def test_audits_match_the_oracle_on_random_fragments():
                          product_qcard=gen.rng.randint(1, 40))
         frag = gen.fragment(max_seeds=4, max_depth=2, caps=caps)
         audits.append((frag.elements, caps, gen.rng.randint(0, 3), gen.rng.randint(0, 60)))
+    # texts of names that are prefixes of each other
+    audits += [(elements, BuildCaps(power_qcard=4, product_qcard=40), 3, 200)
+               for elements in itertools.islice(_prefix_named_universes(), 21)]
     seen = set()
     for elements, caps, bound, max_families in audits:
         report = check_qED(elements, caps=caps, family_index_bound=bound, max_families=max_families)
