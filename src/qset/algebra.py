@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import CapExceeded, NonClassicalIndex, NotInUniverse
 from .kernel import ElementDesc, PrimPair, QSet, as_descriptor, canonical_text
@@ -93,28 +93,15 @@ def opair_from(single: QSet, pair: QSet) -> QSet:
     return QSet._of({single: 1, pair: 1})
 
 
-def product(
-    x: QSet,
-    y: QSet,
-    *,
-    cap: int = PRODUCT_QCARD_CAP,
-    pair: Callable[[ElementDesc, ElementDesc], PrimPair] = PrimPair,
-) -> QSet:
-    """Cartesian product: primitive pairs of classes, counts multiplied.
-
-    ``pair(a, b)`` makes the primitive pair of two classes.  It defaults
-    to ``PrimPair``; a caller that takes many products over one universe
-    passes a lookup that returns one shared pair per ``(a, b)``
-    (``Parts.prim_pair``).  A pair depends only on its components, so
-    the result is the same value either way.
-    """
+def product(x: QSet, y: QSet, *, cap: int = PRODUCT_QCARD_CAP) -> QSet:
+    """Cartesian product: primitive pairs of classes, counts multiplied."""
     if not isinstance(x, QSet) or not isinstance(y, QSet):
         raise TypeError("product is defined on quasi-sets")
     size = x.qcard * y.qcard
     if size > cap:
         raise CapExceeded("product result would have qcard %d, cap is %d" % (size, cap))
     # distinct class pairs are distinct primitive pairs, so no key repeats
-    return QSet._of({pair(a, b): na * nb for a, na in x.classes() for b, nb in y.classes()})
+    return QSet._of({PrimPair(a, b): na * nb for a, na in x.classes() for b, nb in y.classes()})
 
 
 def union(x: QSet, y: QSet) -> QSet:
@@ -130,11 +117,6 @@ def union(x: QSet, y: QSet) -> QSet:
 
 def family_union(entries: Iterable[QSet]) -> QSet:
     """Union of a family's entries, each class at its largest count; the index plays no part."""
-    return QSet._of(_largest_counts(entries))
-
-
-def _largest_counts(entries: Iterable[QSet]) -> dict[ElementDesc, int]:
-    """Each class of the entries, at its largest count among them."""
     counts: dict[ElementDesc, int] = {}
     for entry in entries:
         if not isinstance(entry, QSet):
@@ -142,7 +124,7 @@ def _largest_counts(entries: Iterable[QSet]) -> dict[ElementDesc, int]:
         for desc, n in entry.classes():
             if counts.get(desc, 0) < n:
                 counts[desc] = n
-    return counts
+    return QSet._of(counts)
 
 
 def family_from_pairs(graph: QSet) -> dict[ElementDesc, QSet]:

@@ -251,19 +251,9 @@ def check_category_laws(
         keep = sorted(rng.sample(range(len(triples)), max_triples))
         triples = [triples[t] for t in keep]
 
-    pair_cache: dict[tuple[int, int], QuasiFunction] = {}
-
-    def composed(j: int, i: int) -> QuasiFunction:
-        key = (j, i)
-        got = pair_cache.get(key)
-        if got is None:
-            got = compose_fn(fns[j], fns[i])
-            pair_cache[key] = got
-        return got
-
     for i, j, k in triples:
-        lhs = compose_fn(fns[k], composed(j, i))
-        rhs = compose_fn(composed(k, j), fns[i])
+        lhs = compose_fn(fns[k], compose_fn(fns[j], fns[i]))
+        rhs = compose_fn(compose_fn(fns[k], fns[j]), fns[i])
         if not qfun_equiv(lhs, rhs):
             violations.append(
                 {

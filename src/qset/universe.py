@@ -116,24 +116,21 @@ def _uncapped(args, caps):
 class Parts:
     """A universe and the constructor parts built against it so far.
 
-    The relative constructors are made of class singletons and pairs,
-    and products over member pairs repeat the primitive pairs of member
-    classes.  A caller that applies many constructors to one fixed
-    universe (a build or replay round, a script's call) keeps one
-    ``Parts`` and builds each part once; the parts go when it does.
-    ``Parts`` holds values only; the audit builds none.  Every part
-    depends only on its key and the universe, a primitive pair only on
-    its two components, and values are immutable, so a shared part is
+    The relative constructors are made of class singletons and pairs.
+    A caller that applies many constructors to one fixed universe (a
+    build or replay round, a script's call) keeps one ``Parts`` and
+    builds each part once; the parts go when it does.  ``Parts`` holds
+    values only; the audit builds none.  Every part depends only on its
+    key and the universe, and values are immutable, so a shared part is
     exactly the value a fresh call would give.
     """
 
-    __slots__ = ("universe", "_singletons", "_pairs", "_prim_pairs")
+    __slots__ = ("universe", "_singletons", "_pairs")
 
     def __init__(self, universe: QSet):
         self.universe = universe
         self._singletons: dict = {}
         self._pairs: dict[frozenset, QSet] = {}
-        self._prim_pairs: dict[tuple, PrimPair] = {}
 
     def singleton(self, x) -> QSet:
         # exact: singleton_in(x, u) reads only x and u's count of it
@@ -153,13 +150,6 @@ class Parts:
     def opair(self, x, y) -> QSet:
         # exact: opair_in(x, y, u) is opair_from of x's singleton and the pair of x and y
         return algebra.opair_from(self.singleton(x), self.pair(x, y))
-
-    def prim_pair(self, a, b) -> PrimPair:
-        # exact: PrimPair(a, b) reads only a and b, so (a, b) keys it
-        p = self._prim_pairs.get((a, b))
-        if p is None:
-            p = self._prim_pairs[a, b] = PrimPair(a, b)
-        return p
 
 
 class MemberIndex:
@@ -238,9 +228,8 @@ def _hits_union(pool, universe, index):
     # lie classwise under m and each class of m is at its full count in x or in y
     under: dict[QSet, dict[int, list[int]]] = {}  # m -> {mask of m's classes at full count: x's positions}
     for i, x in enumerate(pool):
-        # the members above x hold every class of x, and those holding its rarest class are the
-        # fewest to try; {} lies under every member
-        classes = sorted(x.classes(), key=lambda c: len(index.by_class.get(c[0], ())))
+        # the members above x hold every class of x, its first among them; {} lies under every member
+        classes = list(x.classes())
         for m in index.by_class.get(classes[0][0], ()) if classes else index.classwise:
             counts = index.classwise[m]
             mask = 0
@@ -328,8 +317,7 @@ CONSTRUCTORS = (
                 _hits_union),
     Constructor("product", "cond3", 2, True, False, False,
                 lambda a, caps: "product-cap" if a[0].qcard * a[1].qcard > caps.product_qcard else None,
-                lambda a, parts, caps: algebra.product(
-                    *a, cap=caps.product_qcard, pair=PrimPair if parts is None else parts.prim_pair),
+                lambda a, parts, caps: algebra.product(*a, cap=caps.product_qcard),
                 _hits_product),
     Constructor("pair", "theorem1", 2, False, True, True, _uncapped,
                 lambda a, parts, caps: parts.pair(*a),
@@ -522,7 +510,8 @@ def build_fragment(
 def _refusals(row: Constructor, pool: list, caps: BuildCaps):
     """The positions in ``pool`` of each operand tuple of the row's sweep that the caps
     refuse, with the reason.  A cap reads only the operands' qcards, so one probe per
-    tuple of qcards answers for every operand tuple that has them."""
+    tuple of qcards answers for every operand tuple that has them.  No capped row is
+    unordered, so every tuple of positions is in the sweep."""
     if row.cap is _uncapped:
         return
     by_qcard: dict[int, list[int]] = {}
@@ -532,8 +521,7 @@ def _refusals(row: Constructor, pool: list, caps: BuildCaps):
         cutoff = row.cap(tuple(pool[g[0]] for g in groups), caps)
         if cutoff is not None:
             for at in itertools.product(*groups):
-                if not row.unordered or list(at) == sorted(at):
-                    yield at, cutoff
+                yield at, cutoff
 
 
 def _grow(members: dict[ElementDesc, int], depth: int, caps: BuildCaps, apply_all: bool = False):

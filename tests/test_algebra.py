@@ -29,7 +29,6 @@ from qset import (
 )
 from qset.algebra import opair_from
 from qset.gen import StructureGen
-from qset.universe import Parts
 
 K = Kind("K")
 J = Kind("J")
@@ -333,11 +332,6 @@ def test_algebra_results_equal_validated_construction(sx, sy, su, pick):
     ]
     for r in results:
         _assert_validated_twin(r)
-    shared = Parts(u).prim_pair
-    for p, q in ((x, y), (y, x), (x, x)):
-        r = product(p, q, pair=shared)
-        _assert_validated_twin(r)
-        assert list(r.classes()) == list(product(p, q).classes())
 
 
 # -- equivariance of the algebra ---------------------------------------

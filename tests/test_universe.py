@@ -978,7 +978,7 @@ def test_audit_builds_no_result(monkeypatch):
     for name in ("power", "singleton_in", "pair_in", "opair_in", "opair_from", "union", "product", "family_union"):
         monkeypatch.setattr(algebra, name, refused(name, getattr(algebra, name)))
     monkeypatch.setattr(PrimPair, "__init__", refused("PrimPair", PrimPair.__init__))
-    for name in ("singleton", "pair", "opair", "prim_pair"):
+    for name in ("singleton", "pair", "opair"):
         method = getattr(universe_module.Parts, name)
         monkeypatch.setattr(universe_module.Parts, name, refused("Parts." + name, method))
     monkeypatch.setattr(QSet, "_seal", refused("QSet._seal", QSet._seal))
